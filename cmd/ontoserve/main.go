@@ -54,10 +54,16 @@
 // by -slow-query-log or to stderr. -pprof-addr serves net/http/pprof on a
 // separate listener, keeping the profiling surface off the API address.
 //
-// A corpus snapshot that fails to parse refuses to serve at all — corpora
-// are staged through a scratch store and asserted only on a clean restore,
-// so a malformed tail can never put a partially restored corpus behind the
-// API (see store.Restore's partial-commit contract).
+// A corpus snapshot that fails to parse refuses to serve at all — a corpus
+// is decoded whole (store.DecodeSnapshot) and asserted in one batch only
+// once every entry parsed, so a malformed tail can never put a partially
+// loaded corpus behind the API (see store.Restore's partial-commit
+// contract).
+//
+// The boot log's "serving" line reports where start-up went: load is the
+// wall time from flag parsing to a populated base store (replica bootstrap
+// or log recovery plus corpus seeding), materialize the reasoner's fixpoint
+// (also /stats' engine.materialize_seconds).
 //
 // The process runs until SIGINT/SIGTERM, then shuts down gracefully,
 // letting in-flight requests finish and flushing the log.
@@ -154,6 +160,7 @@ func run(args []string, stderr io.Writer) int {
 	// and checkpoint instruments on it at Open, the server everything else
 	// at New, and GET /metrics serves the union.
 	reg := obs.NewRegistry()
+	loadStart := time.Now()
 
 	// The base store exists before any corpus loading so that, with a data
 	// directory, durable.Open can recover into it and install its journal
@@ -210,6 +217,7 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ontoserve: %v\n", err)
 		return 1
 	}
+	load := time.Since(loadStart)
 	if eng != nil {
 		// Assigning a nil *durable.Engine would make the interface non-nil
 		// and crash the durability handlers.
@@ -290,8 +298,9 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ontoserve: %v\n", err)
 		return 1
 	}
-	logger.Printf("serving %d asserted + %d inferred triples on http://%s",
-		srv.Reasoner().Base().Len(), srv.Reasoner().InferredCount(), ln.Addr())
+	logger.Printf("serving %d asserted + %d inferred triples on http://%s (load %.3fs, materialize %.3fs)",
+		srv.Reasoner().Base().Len(), srv.Reasoner().InferredCount(), ln.Addr(),
+		load.Seconds(), srv.Reasoner().MaterializeDuration().Seconds())
 	if err := srv.Serve(ctx, ln); err != nil {
 		fmt.Fprintf(stderr, "ontoserve: %v\n", err)
 		return 1
@@ -339,19 +348,17 @@ func buildConfig(base *store.Store, seed, paper bool, annotations, tboxFile, rul
 		if err != nil {
 			return cfg, err
 		}
-		// Restore into a scratch store first: Restore's partial-commit
-		// contract keeps the valid prefix of a malformed snapshot, and a
-		// partially restored corpus must never reach the served (and
-		// journaled) base. Only a clean restore is asserted.
-		scratch := store.New()
-		_, err = store.Restore(scratch, f)
+		// Decode the whole snapshot before asserting any of it: a
+		// partially loaded corpus must never reach the served (and
+		// journaled) base. Only a clean decode is asserted, in one batch.
+		ts, err := store.DecodeSnapshot(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return cfg, fmt.Errorf("restoring %s: %w (refusing to serve a partially restored corpus; fix the snapshot and restart)", annotations, err)
 		}
-		if _, err := base.AddBatch(scratch.Triples()); err != nil {
+		if _, err := base.AddBatch(ts); err != nil {
 			return cfg, err
 		}
 	}

@@ -13,7 +13,8 @@ import (
 // TestMalformedSnapshotRefusesToServe is the fail-fast contract: a snapshot
 // with a malformed tail must abort startup with a clear error AND leave the
 // base store untouched — store.Restore keeps the valid prefix in whatever
-// store it writes, so buildConfig must stage through a scratch store.
+// store it writes, so buildConfig must decode the whole snapshot
+// (store.DecodeSnapshot) before asserting any of it.
 func TestMalformedSnapshotRefusesToServe(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.triples")
@@ -32,8 +33,8 @@ this line is not JSON
 	if !strings.Contains(err.Error(), "partially restored") {
 		t.Fatalf("error %q does not explain the partial-restore refusal", err)
 	}
-	if base.Len() != 0 {
-		t.Fatalf("the valid prefix (%d triples) leaked into the base store; it must stay empty", base.Len())
+	if base.Len() != 0 || base.DictLen() != 0 {
+		t.Fatalf("the valid prefix (%d triples, %d names) leaked into the base store; it must stay empty", base.Len(), base.DictLen())
 	}
 }
 

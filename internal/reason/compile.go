@@ -46,6 +46,26 @@ func (a catom) execPattern() exec.Pattern {
 	return p
 }
 
+// idPattern is the atom's literal components as a store probe (variables
+// unbound), the form cardinality estimates take.
+func (a catom) idPattern() store.IDPattern {
+	var p store.IDPattern
+	for i, t := range a.t {
+		if t.isVar {
+			continue
+		}
+		switch i {
+		case 0:
+			p.S, p.BoundS = t.id, true
+		case 1:
+			p.P, p.BoundP = t.id, true
+		case 2:
+			p.O, p.BoundO = t.id, true
+		}
+	}
+	return p
+}
+
 // bindVars marks the atom's variable slots bound.
 func (a catom) bindVars(bound []bool) {
 	for _, t := range a.t {
@@ -215,15 +235,23 @@ func bodyPipeline(r *crule, order []int, leaf exec.Op, bound []bool, db exec.Sou
 // work proportional to the new facts, and iterating di over all body
 // positions covers every derivation that uses at least one new fact — run
 // as a batched pipeline: a SliceScan leaf over the delta, then one batch
-// join per remaining atom in the precomputed deltaOrder. Heads are emitted
-// from the pipeline's output batches, after every probe's shard lock has
-// been released, so emit may (unlike a store iterator callback) buffer
-// freely.
+// join per remaining atom in the precomputed deltaOrder.
 func matchDelta(r *crule, di int, delta []store.IDTriple, db exec.Source, emit func(store.IDTriple) bool) bool {
+	return matchFrom(r, di, exec.NewSliceScan(delta, r.body[di].execPattern(), r.nvars), db, emit)
+}
+
+// matchFrom runs the rule body from leaf, which must enumerate matches of
+// atom di, joining the remaining atoms against db in deltaOrder[di] and
+// emitting each instantiated head; emit returns false to stop the
+// enumeration, and matchFrom reports whether it ran to completion. Heads are
+// emitted from the pipeline's output batches, after every probe's shard lock
+// has been released, so emit may (unlike a store iterator callback) buffer
+// freely — or write to a store no operator of the pipeline is reading.
+func matchFrom(r *crule, di int, leaf exec.Op, db exec.Source, emit func(store.IDTriple) bool) bool {
 	order := r.deltaOrder[di]
 	bound := make([]bool, r.nvars)
 	r.body[di].bindVars(bound)
-	op := bodyPipeline(r, order[1:], exec.NewSliceScan(delta, r.body[di].execPattern(), r.nvars), bound, db)
+	op := bodyPipeline(r, order[1:], leaf, bound, db)
 	var ctx exec.Ctx
 	for {
 		b, err := op.Next(&ctx)

@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/store"
@@ -189,5 +190,68 @@ func TestOnDeltaRemoveCoversRetractedInferences(t *testing.T) {
 	}
 	if r.View().Contains(inferred) {
 		t.Fatal("dead inference survived in the view")
+	}
+}
+
+// failingJournal is a store.Journal whose commits always fail, the way a
+// durable engine reports a failed fsync.
+type failingJournal struct{}
+
+func (failingJournal) JournalDict(store.SymbolID, []string) {}
+func (failingJournal) JournalAdd([]store.IDTriple)          {}
+func (failingJournal) JournalRemove(store.IDTriple)         {}
+func (failingJournal) JournalCommit() error                 { return errors.New("fsync: input/output error") }
+
+// TestReasonJournalFailureKeepsFixpoint pins the journal-failure contract: a
+// base write whose commit fails is still applied in memory (the serving
+// layer's 500 path relies on that), so Add and AddBatch must maintain the
+// overlay, advance the generation and fire the hooks before returning the
+// ErrJournal error — never leave visible asserted triples without their
+// consequences, or caches and replicas unaware of them.
+func TestReasonJournalFailureKeepsFixpoint(t *testing.T) {
+	base := vehicleBase(t)
+	r, err := Materialize(base, RDFSRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &deltaLog{res: base.NewResolver()}
+	r.SetOnDelta(log.hook)
+	events := 0
+	r.SetOnEvent(func(Delta) { events++ })
+	base.SetJournal(failingJournal{})
+
+	typed := store.Triple{Subject: "kitt", Predicate: store.TypePredicate, Object: "car"}
+	gen := r.Generation()
+	if added, err := r.Add(typed); !added || !errors.Is(err, store.ErrJournal) {
+		t.Fatalf("Add = %v, %v; want true and an ErrJournal error", added, err)
+	}
+	checkAgainstNaive(t, r, r.Rules(), "after a failed-commit Add")
+	if r.Generation() != gen+1 || log.fires != 1 || events != 1 {
+		t.Fatalf("failed-commit Add: generation %d→%d, %d delta and %d event notifications; want one advance and one of each", gen, r.Generation(), log.fires, events)
+	}
+	if !contains(log.added, store.Triple{Subject: "kitt", Predicate: store.TypePredicate, Object: "vehicle"}) {
+		t.Fatalf("failed-commit Add delta %v misses the inferred consequence", log.added)
+	}
+
+	log.reset()
+	batch := []store.Triple{
+		{Subject: "truck-2", Predicate: store.TypePredicate, Object: "pickup"},
+		{Subject: "pickup", Predicate: SubClassOfPredicate, Object: "motorvehicle"},
+	}
+	gen = r.Generation()
+	if added, err := r.AddBatch(batch); added != 2 || !errors.Is(err, store.ErrJournal) {
+		t.Fatalf("AddBatch = %d, %v; want 2 and an ErrJournal error", added, err)
+	}
+	checkAgainstNaive(t, r, r.Rules(), "after a failed-commit AddBatch")
+	if r.Generation() != gen+1 || log.fires != 1 || events != 2 {
+		t.Fatalf("failed-commit AddBatch: generation %d→%d, %d delta and %d event notifications; want one advance and one of each", gen, r.Generation(), log.fires, events-1)
+	}
+	for _, want := range []store.Triple{
+		{Subject: "truck-2", Predicate: store.TypePredicate, Object: "vehicle"},
+		{Subject: "truck-1", Predicate: store.TypePredicate, Object: "motorvehicle"},
+	} {
+		if !contains(log.added, want) {
+			t.Fatalf("failed-commit AddBatch delta %v misses %v", log.added, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/query/exec"
 	"repro/internal/store"
 )
 
@@ -18,8 +20,9 @@ import (
 // incremental maintenance. Derived counts insertions into the overlay over
 // the reasoner's whole life, so after deletions it can exceed InferredCount.
 type Stats struct {
-	// Rounds is the number of semi-naive rounds run (initial materialization
-	// plus every incremental propagation).
+	// Rounds is the number of fixpoint rounds run: each full
+	// materialization's naive first round plus every semi-naive round,
+	// incremental propagations included.
 	Rounds int
 	// Derived is the number of triples ever added to the inferred overlay.
 	Derived int
@@ -56,8 +59,16 @@ type Reasoner struct {
 	rules   []crule
 	source  []Rule
 	stats   Stats
-	onDelta func(added, removed []store.IDTriple)
-	onEvent func(Delta)
+	// chunk bounds the derived-head buffer: heads are flushed into the
+	// overlay (or, in Materialize's first round, folded into the sorted
+	// accumulator) every chunk heads. flushChunk outside tests.
+	chunk int
+	heads []store.IDTriple // reusable head buffer, capacity ≤ chunk
+	// materializeNanos is the wall time of the last full materialization
+	// (Materialize or Rematerialize), for /stats and the boot log.
+	materializeNanos atomic.Int64
+	onDelta          func(added, removed []store.IDTriple)
+	onEvent          func(Delta)
 	// gen counts content-changing writes: it advances exactly when the delta
 	// hook would fire, so any two reads bracketing an unchanged generation
 	// saw the same materialization. The replica tier's staleness signal.
@@ -94,6 +105,16 @@ func (r *Reasoner) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("onto_reason_generation", "Materialization generation (advances on every content-changing write).", func() float64 {
 		return float64(r.gen.Load())
 	})
+	reg.GaugeFunc("onto_reason_materialize_seconds", "Wall time of the last full materialization (Materialize or Rematerialize).", func() float64 {
+		return r.MaterializeDuration().Seconds()
+	})
+}
+
+// MaterializeDuration returns the wall time of the last full
+// materialization: Materialize's fixpoint at construction, or the latest
+// Rematerialize. It is the boot-time cost of the reasoner.
+func (r *Reasoner) MaterializeDuration() time.Duration {
+	return time.Duration(r.materializeNanos.Load())
 }
 
 // Delta is the generation-keyed record of one content-changing write — the
@@ -183,14 +204,28 @@ func (r *Reasoner) notify(d Delta) {
 	}
 }
 
+// flushChunk is how many derived heads the engine buffers before flushing
+// them: small enough that a round's buffer stays a few hundred KiB whatever
+// the corpus, large enough that the per-flush shard grouping and locking is
+// amortized over thousands of heads.
+const flushChunk = 1 << 14
+
 // Materialize compiles the rule set, computes its fixpoint over the base
-// store's current triples by semi-naive evaluation, and returns the
-// maintaining Reasoner. Inferred triples go to a fresh overlay
-// (store.NewOverlay) — the base is never written — and rules are evaluated
-// entirely at the dictionary-id level. Rule sets are validated (see
-// Rule.Validate); range restriction makes every fixpoint finite, so
-// Materialize always terminates.
+// store's current triples, and returns the maintaining Reasoner. Inferred
+// triples go to a fresh overlay (store.NewOverlay) — the base is never
+// written — and rules are evaluated entirely at the dictionary-id level.
+// The first round is naive (every rule body evaluated once over the base)
+// and bulk-built into the still-private overlay; later rounds are
+// semi-naive. Rule sets are validated (see Rule.Validate); range
+// restriction makes every fixpoint finite, so Materialize always
+// terminates.
 func Materialize(base *store.Store, rules []Rule) (*Reasoner, error) {
+	return materialize(base, rules, flushChunk)
+}
+
+// materialize is Materialize with an explicit head-buffer bound, so tests
+// can drive deltas many chunks long through tiny corpora.
+func materialize(base *store.Store, rules []Rule, chunk int) (*Reasoner, error) {
 	if base == nil {
 		return nil, fmt.Errorf("reason: Materialize needs a base store")
 	}
@@ -212,36 +247,77 @@ func Materialize(base *store.Store, rules []Rule) (*Reasoner, error) {
 		view:    view,
 		rules:   compiled,
 		source:  append([]Rule(nil), rules...),
+		chunk:   chunk,
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.propagate(r.baseDelta())
+	start := time.Now()
+	// The overlay is private and empty until Materialize returns, so the
+	// first round's conclusions need not go through the concurrent-safe
+	// insert path: collect them, sort and deduplicate, and build the
+	// overlay's indexes in one bulk pass — the builder RestoreSorted uses.
+	first := r.bulkFirstRound()
+	if err := overlay.BuildSorted(first); err != nil {
+		return nil, err
+	}
+	r.stats.Derived += len(first)
+	r.mDerived.Add(int64(len(first)))
+	r.propagate(first)
+	r.materializeNanos.Store(int64(time.Since(start)))
 	return r, nil
 }
 
-// baseDelta collects every asserted triple as the seed delta of a full
-// materialization.
-func (r *Reasoner) baseDelta() []store.IDTriple {
-	delta := make([]store.IDTriple, 0, r.base.Len())
-	r.base.QueryIDFunc(store.IDPattern{}, func(t store.IDTriple) bool {
-		delta = append(delta, t)
+// bulkFirstRound runs the naive first round into a sorted accumulator
+// instead of the overlay, returning its conclusions that are not asserted,
+// in strict (S, P, O) order. Heads are buffered at most r.chunk at a time;
+// each full buffer is filtered against the base and appended to the
+// accumulator, which is re-sorted and deduplicated whenever its unsorted
+// tail outgrows its sorted prefix — so the accumulator stays within about
+// twice the round's distinct conclusions however many duplicate heads the
+// round produces, at amortized linear sorting cost.
+func (r *Reasoner) bulkFirstRound() []store.IDTriple {
+	start := r.roundStart()
+	var acc []store.IDTriple
+	sorted := 0
+	heads := r.heads[:0]
+	fold := func() {
+		acc = append(acc, r.base.FilterAbsentID(heads)...)
+		heads = heads[:0]
+		if len(acc)-sorted > max(sorted, r.chunk) {
+			acc = store.SortIDTriples(acc)
+			sorted = len(acc)
+		}
+	}
+	r.naiveRound(func(h store.IDTriple) bool {
+		heads = append(heads, h)
+		if len(heads) >= r.chunk {
+			fold()
+		}
 		return true
 	})
-	return delta
+	fold()
+	r.heads = heads[:0]
+	acc = store.SortIDTriples(acc)
+	r.roundEnd(start)
+	return acc
 }
 
 // Rematerialize discards the overlay and recomputes the fixpoint from the
 // base store's current triples — the escape hatch after direct writes to the
-// base behind the reasoner's back. Incremental statistics are kept.
+// base behind the reasoner's back. The overlay stays live to readers
+// throughout, so unlike Materialize the first round goes through the
+// chunked insert path. Incremental statistics are kept.
 func (r *Reasoner) Rematerialize() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	start := time.Now()
 	// Collect-then-remove: RemoveID must not run under the iteration's read
 	// lock.
 	for _, t := range r.overlayTriples() {
 		r.overlay.RemoveID(t)
 	}
-	r.propagate(r.baseDelta())
+	r.propagate(r.round(r.naiveRound))
+	r.materializeNanos.Store(int64(time.Since(start)))
 	// The extent of the change is unknowable here (the base was edited
 	// behind the reasoner's back); nil lists tell receivers to assume
 	// everything may have changed.
@@ -343,9 +419,11 @@ func (r *Reasoner) Instances(class string) []string {
 func (r *Reasoner) Add(t store.Triple) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// A journal failure (ErrJournal) still applied the triple: maintain
+	// the materialization and notify as for any write, then report it.
 	added, err := r.base.Add(t)
-	if err != nil || !added {
-		return added, err
+	if !added {
+		return false, err
 	}
 	idt, ok := r.encode(t)
 	if !ok {
@@ -362,20 +440,24 @@ func (r *Reasoner) Add(t store.Triple) (bool, error) {
 			Removed:       []store.IDTriple{idt},
 			AssertedAdded: []store.IDTriple{idt},
 		})
-		return true, nil
+		return true, err
 	}
 	derived := r.propagate([]store.IDTriple{idt})
 	r.notify(Delta{
 		Added:         append(derived, idt),
 		AssertedAdded: []store.IDTriple{idt},
 	})
-	return true, nil
+	return true, err
 }
 
 // AddBatch asserts a batch through the base store's batch path and
 // propagates the consequences of the genuinely new triples in one semi-naive
 // run, returning how many were newly asserted. Validation is all-or-nothing,
-// exactly as store.AddBatch.
+// exactly as store.AddBatch. A journal commit failure (an error wrapping
+// store.ErrJournal) leaves the batch applied in memory, so the overlay, the
+// generation and the hooks are brought up to date before it is returned —
+// readers never see asserted triples whose consequences are missing. Add
+// keeps the same contract.
 func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -388,7 +470,7 @@ func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
 		}
 	}
 	added, err := r.base.AddBatch(ts)
-	if err != nil {
+	if err != nil && !errors.Is(err, store.ErrJournal) {
 		return added, err
 	}
 	delta := make([]store.IDTriple, 0, len(fresh))
@@ -419,7 +501,7 @@ func (r *Reasoner) AddBatch(ts []store.Triple) (int, error) {
 			AssertedAdded: asserted,
 		})
 	}
-	return added, nil
+	return added, err
 }
 
 // Remove retracts an asserted triple and incrementally maintains the overlay
@@ -539,51 +621,107 @@ func (r *Reasoner) encode(t store.Triple) (store.IDTriple, bool) {
 // and probes the remaining atoms against the full materialized view, which
 // already includes earlier rounds' conclusions — each such term one batched
 // operator pipeline (see matchDelta), so a round's joins run batch-at-a-time
-// over the delta with shard-grouped probes. Derived heads already asserted
-// or inferred are skipped; the rest enter the overlay and the next delta.
-// Heads arrive from the pipelines' output batches, never under a shard
-// read-lock, so inserting them after each enumeration is safe. It returns
-// every triple newly derived into the overlay, for the delta hook. Callers
-// hold r.mu.
+// over the delta with shard-grouped probes. It returns every triple newly
+// derived into the overlay, for the delta hook. Callers hold r.mu.
+//
+// Heads are flushed into the overlay (see round) whenever the buffer fills,
+// which can happen while a pipeline of the same round is still live. That is
+// safe: heads arrive from a pipeline's output batches between Next calls,
+// when no shard lock is held and no operator keeps a cursor into the
+// overlay (joins buffer each probe batch's matches, and the delta leaf reads
+// its own slice, never the overlay); and a flushed head a later probe
+// happens to see is a sound conclusion, whose own consequences are derived
+// either in this round or, since it is fresh, from the next round's delta.
 func (r *Reasoner) propagate(delta []store.IDTriple) []store.IDTriple {
 	if len(delta) > 0 {
 		r.mDeltaSize.Observe(float64(len(delta)))
 	}
-	var heads, derived []store.IDTriple
+	var derived []store.IDTriple
 	for len(delta) > 0 {
-		r.stats.Rounds++
-		r.mRounds.Inc()
-		var roundStart time.Time
-		if r.mRoundSeconds != nil {
-			roundStart = time.Now()
-		}
-		heads = heads[:0]
-		for i := range r.rules {
-			rule := &r.rules[i]
-			for di := range rule.body {
-				matchDelta(rule, di, delta, r.view, func(h store.IDTriple) bool {
-					heads = append(heads, h)
-					return true
-				})
+		cur := delta
+		delta = r.round(func(emit func(store.IDTriple) bool) {
+			for i := range r.rules {
+				rule := &r.rules[i]
+				for di := range rule.body {
+					matchDelta(rule, di, cur, r.view, emit)
+				}
 			}
-		}
-		var next []store.IDTriple
-		for _, h := range heads {
-			if r.base.ContainsID(h) || r.overlay.ContainsID(h) {
-				continue
-			}
-			if _, err := r.overlay.AddID(h); err != nil {
-				panic(err) // ids came from this dictionary
-			}
-			r.stats.Derived++
-			next = append(next, h)
-		}
-		r.mDerived.Add(int64(len(next)))
-		if r.mRoundSeconds != nil {
-			r.mRoundSeconds.Since(roundStart)
-		}
-		derived = append(derived, next...)
-		delta = next
+		})
+		derived = append(derived, delta...)
 	}
 	return derived
+}
+
+// round runs one fixpoint round: eval enumerates the round's heads, which
+// are buffered at most r.chunk at a time and flushed through one batched
+// path — filtered against the base under one read lock per shard, then
+// inserted into the overlay with AddIDBatch, whose fresh subset (the heads
+// neither asserted nor already inferred) accumulates into the round's
+// result, the next delta. Callers hold r.mu.
+func (r *Reasoner) round(eval func(emit func(store.IDTriple) bool)) []store.IDTriple {
+	start := r.roundStart()
+	var next []store.IDTriple
+	heads := r.heads[:0]
+	flush := func() {
+		fresh, err := r.overlay.AddIDBatch(r.base.FilterAbsentID(heads))
+		if err != nil {
+			panic(err) // ids came from this dictionary
+		}
+		next = append(next, fresh...)
+		heads = heads[:0]
+	}
+	eval(func(h store.IDTriple) bool {
+		heads = append(heads, h)
+		if len(heads) >= r.chunk {
+			flush()
+		}
+		return true
+	})
+	flush()
+	r.heads = heads[:0]
+	r.stats.Derived += len(next)
+	r.mDerived.Add(int64(len(next)))
+	r.roundEnd(start)
+	return next
+}
+
+// roundStart counts a round and starts its clock (zero when unobserved).
+func (r *Reasoner) roundStart() time.Time {
+	r.stats.Rounds++
+	r.mRounds.Inc()
+	if r.mRoundSeconds != nil {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// roundEnd records a round's latency when observed.
+func (r *Reasoner) roundEnd(start time.Time) {
+	if r.mRoundSeconds != nil {
+		r.mRoundSeconds.Since(start)
+	}
+}
+
+// naiveRound evaluates every rule body exactly once over the asserted base,
+// emitting each instantiated head — the first round of a full
+// materialization. When the seed delta is the whole base and the overlay is
+// empty, the semi-naive terms of a k-atom body ("atom i ranges over the
+// delta, the rest over the view") all enumerate the same joins, so one
+// evaluation per rule replaces k. Each body starts from the atom the base
+// matches least often (a scan leaf over the base's indexes) and probes the
+// rest against the base: the view holds nothing else yet, and heads flushed
+// into the overlay mid-round (Rematerialize) are picked up by the next
+// round's delta instead.
+func (r *Reasoner) naiveRound(emit func(store.IDTriple) bool) {
+	for i := range r.rules {
+		rule := &r.rules[i]
+		lead, best := 0, -1
+		for ai, a := range rule.body {
+			if n := r.base.CountID(a.idPattern()); best < 0 || n < best {
+				lead, best = ai, n
+			}
+		}
+		leaf := exec.NewScan(r.base, rule.body[lead].execPattern(), nil, rule.nvars, 0)
+		matchFrom(rule, lead, leaf, r.base, emit)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -186,34 +187,115 @@ func randomTriple(rng *rand.Rand) store.Triple {
 	}
 }
 
-// TestReasonMatchesReference drives random rule sets and random add/remove
-// schedules through the engine and checks the materialization against the
-// naive recompute-from-scratch closure after every step.
-func TestReasonMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 150; trial++ {
-		rules := randomRules(rng)
+// refChunk is the head-buffer bound the reference checks run their second
+// materialization with: small enough that every non-trivial round — the
+// bulk-built first round included — spans many flush chunks.
+const refChunk = 2
+
+// checkReference holds one case — a rule set, an initial asserted set and
+// an operation schedule — to the naive closure along every path that builds
+// or maintains a materialization:
+//
+//   - Materialize (naive, bulk-built first round), once with the default
+//     head buffer and once with a refChunk-sized one, so deltas longer than
+//     a flush chunk are exercised whatever the corpus size;
+//   - Materialize over an empty store followed by AddBatch of the whole
+//     initial set (the batched incremental path), whose overlay must be
+//     identical to the bulk-built one;
+//   - the schedule of Add and Remove operations, checked after every step;
+//   - Rematerialize after writes made directly to the base store.
+//
+// It reports how many materializations derived more than one chunk's worth
+// of triples, so callers can assert the multi-chunk paths actually ran.
+func checkReference(t *testing.T, name string, rules []Rule, initial []store.Triple, ops []refOp, direct []store.Triple) (multiChunk int) {
+	t.Helper()
+	var bulk []store.Triple
+	for _, chunk := range []int{flushChunk, refChunk} {
 		base := store.New()
-		for i, n := 0, rng.Intn(10); i < n; i++ {
-			base.MustAdd(randomTriple(rng))
+		if _, err := base.AddBatch(initial); err != nil {
+			t.Fatal(err)
 		}
-		r, err := Materialize(base, rules)
+		r, err := materialize(base, rules, chunk)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatal(err)
 		}
-		checkAgainstNaive(t, r, rules, fmt.Sprintf("trial %d: initial", trial))
-		for step := 0; step < 8; step++ {
-			tr := randomTriple(rng)
-			if rng.Intn(2) == 0 {
-				if _, err := r.Add(tr); err != nil {
-					t.Fatalf("trial %d step %d: Add(%v): %v", trial, step, tr, err)
-				}
-				checkAgainstNaive(t, r, rules, fmt.Sprintf("trial %d step %d: after Add(%v)", trial, step, tr))
+		ctx := fmt.Sprintf("%s, chunk %d", name, chunk)
+		checkAgainstNaive(t, r, rules, ctx+": Materialize")
+		if r.Stats().Derived > chunk {
+			multiChunk++
+		}
+		if bulk == nil {
+			bulk = r.Overlay().Triples()
+		} else if got := r.Overlay().Triples(); !reflect.DeepEqual(got, bulk) {
+			t.Fatalf("%s: overlay %v differs from the default-chunk overlay %v", ctx, got, bulk)
+		}
+		for i, op := range ops {
+			if op.remove {
+				r.Remove(op.t)
+				checkAgainstNaive(t, r, rules, fmt.Sprintf("%s op %d: after Remove(%v)", ctx, i, op.t))
+				continue
+			}
+			if _, err := r.Add(op.t); err != nil {
+				t.Fatalf("%s op %d: Add(%v): %v", ctx, i, op.t, err)
+			}
+			checkAgainstNaive(t, r, rules, fmt.Sprintf("%s op %d: after Add(%v)", ctx, i, op.t))
+		}
+		for i, tr := range direct {
+			if i%2 == 0 {
+				base.MustAdd(tr)
 			} else {
-				r.Remove(tr)
-				checkAgainstNaive(t, r, rules, fmt.Sprintf("trial %d step %d: after Remove(%v)", trial, step, tr))
+				base.Remove(tr)
 			}
 		}
+		r.Rematerialize()
+		checkAgainstNaive(t, r, rules, ctx+": Rematerialize after direct base writes")
+
+		incr, err := materialize(store.New(), rules, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := incr.AddBatch(initial); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstNaive(t, incr, rules, ctx+": Materialize(empty) + AddBatch(all)")
+		if got := incr.Overlay().Triples(); !reflect.DeepEqual(got, bulk) {
+			t.Fatalf("%s: Materialize(empty) + AddBatch(all) overlay %v differs from the bulk-built %v", ctx, got, bulk)
+		}
+	}
+	return multiChunk
+}
+
+// refOp is one scheduled reasoner write: Add the triple, or Remove it.
+type refOp struct {
+	t      store.Triple
+	remove bool
+}
+
+// TestReasonMatchesReference drives random rule sets, initial stores and
+// add/remove/direct-write schedules through checkReference: every
+// materialization path is held to the naive recompute-from-scratch closure.
+func TestReasonMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	multiChunk := 0
+	for trial := 0; trial < 150; trial++ {
+		rules := randomRules(rng)
+		draw := func(n int) []store.Triple {
+			ts := make([]store.Triple, n)
+			for i := range ts {
+				ts[i] = randomTriple(rng)
+			}
+			return ts
+		}
+		initial := draw(rng.Intn(10))
+		ops := make([]refOp, 8)
+		for i := range ops {
+			ops[i] = refOp{t: randomTriple(rng), remove: rng.Intn(2) == 1}
+		}
+		direct := draw(rng.Intn(6))
+		multiChunk += checkReference(t, fmt.Sprintf("trial %d", trial), rules, initial, ops, direct)
+	}
+	if multiChunk == 0 {
+		t.Fatal("no materialization derived more than one flush chunk; the multi-chunk paths went unexercised")
 	}
 }
 
@@ -272,8 +354,8 @@ func TestReasonAddRemoveRestoresSnapshot(t *testing.T) {
 }
 
 // FuzzReasonMatchesReference feeds byte-derived rule sets and operation
-// schedules to the engine, holding it to the naive reference closure after
-// every mutation. CI runs a short pass.
+// schedules through checkReference, holding every materialization path to
+// the naive reference closure. CI runs a short pass.
 func FuzzReasonMatchesReference(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(int64(99), []byte{7, 3, 1, 0, 200, 13, 42, 8})
@@ -283,30 +365,26 @@ func FuzzReasonMatchesReference(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		rules := randomRules(rng)
-		base := store.New()
-		for i, n := 0, rng.Intn(8); i < n; i++ {
-			base.MustAdd(randomTriple(rng))
-		}
-		r, err := Materialize(base, rules)
-		if err != nil {
-			t.Fatal(err)
+		initial := make([]store.Triple, rng.Intn(8))
+		for i := range initial {
+			initial[i] = randomTriple(rng)
 		}
 		nodes := []string{"a", "b", "c", "d"}
 		preds := []string{"p", "q", "r"}
+		// Each op byte names a triple and, by its low bit, whether to add
+		// (0) or remove (1) it; the same triples in reverse order double as
+		// the direct base writes Rematerialize must then absorb.
+		sched := make([]refOp, len(ops))
+		direct := make([]store.Triple, len(ops))
 		for i, op := range ops {
 			tr := store.Triple{
 				Subject:   nodes[int(op)%len(nodes)],
 				Predicate: preds[int(op>>2)%len(preds)],
 				Object:    nodes[int(op>>4)%len(nodes)],
 			}
-			if op&1 == 0 {
-				if _, err := r.Add(tr); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				r.Remove(tr)
-			}
-			checkAgainstNaive(t, r, rules, fmt.Sprintf("op %d", i))
+			sched[i] = refOp{t: tr, remove: op&1 == 1}
+			direct[len(ops)-1-i] = tr
 		}
+		checkReference(t, fmt.Sprintf("seed %d", seed), rules, initial, sched, direct)
 	})
 }

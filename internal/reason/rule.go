@@ -8,10 +8,12 @@
 // query time; at production scale, read-heavy workloads want the entailed
 // triples materialized once and every retrieval to be a plain index read.
 // This package turns the query layer's Expand rewriting into a precomputed
-// inference layer: Materialize computes the entailments of a rule set by
-// semi-naive evaluation at the dictionary-id level (each round joins only
-// against the previous round's delta, so work is proportional to new facts,
-// not to the whole database), inferred triples live in an overlay store
+// inference layer: Materialize computes the entailments of a rule set at
+// the dictionary-id level, set-at-a-time — one naive round over the base,
+// then semi-naive rounds (each joins only against the previous round's
+// delta, so work is proportional to new facts, not to the whole database)
+// whose heads enter the overlay in batched chunks — inferred triples live
+// in an overlay store
 // sharing the base's dictionary (store.NewOverlay), and the union is served
 // through a store.View that the query layer evaluates like any store —
 // query.Materialized replaces query.Expand.

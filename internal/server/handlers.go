@@ -123,6 +123,10 @@ type EngineStats struct {
 	// notification (including full rematerializations), so caches and
 	// replicas can detect staleness with one comparison.
 	Generation uint64 `json:"generation"`
+	// MaterializeSeconds is the wall time of the last full materialization
+	// (the boot-time fixpoint, or the latest Rematerialize); the same value
+	// as the onto_reason_materialize_seconds gauge.
+	MaterializeSeconds float64 `json:"materialize_seconds"`
 }
 
 // DurabilityStats is the durability block of StatsResponse, present only on
@@ -781,6 +785,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Overdeleted: es.Overdeleted,
 			Rederived:   es.Rederived,
 			Generation:  s.reasoner.Generation(),
+			// Read through the same accessor the gauge reads.
+			MaterializeSeconds: s.reasoner.MaterializeDuration().Seconds(),
 		},
 		Cache:         s.cache.stats(),
 		Durability:    dur,

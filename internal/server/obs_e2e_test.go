@@ -273,6 +273,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if st.Engine.Generation < 1 {
 		t.Errorf("/stats engine generation = %d, want >= 1", st.Engine.Generation)
 	}
+	// The boot-time fixpoint ran once and is never re-run by traffic, so
+	// the body and the scrape must report the identical duration.
+	if st.Engine.MaterializeSeconds <= 0 || st.Engine.MaterializeSeconds != m["onto_reason_materialize_seconds"] {
+		t.Errorf("/stats engine materialize_seconds %g, scrape %g; want equal and > 0", st.Engine.MaterializeSeconds, m["onto_reason_materialize_seconds"])
+	}
 
 	// The slow-query log (threshold 1ns: everything logs) carries one
 	// ndjson record per query, tied to the request id.

@@ -29,10 +29,10 @@ func (s *Store) AddBatch(ts []Triple) (int, error) {
 	if len(ts) == 0 {
 		return 0, nil
 	}
-	enc := s.syms.internBatch(ts, make([]encTriple, 0, len(ts)))
+	enc := s.syms.internBatch(ts, make([]IDTriple, 0, len(ts)))
 	fresh := s.insertBatch(enc)
 	if j := s.getJournal(); j != nil && len(fresh) > 0 {
-		j.JournalAdd(freshIDs(fresh))
+		j.JournalAdd(fresh)
 		if err := commitJournal(j); err != nil {
 			return len(fresh), err
 		}
@@ -42,72 +42,132 @@ func (s *Store) AddBatch(ts []Triple) (int, error) {
 
 // insertBatch applies an encoded batch to the three index families and the
 // size counter, returning the triples that were actually absent (the batch's
-// fresh subset, reusing enc's storage). It is the shared body of AddBatch and
-// AddIDBatch.
-func (s *Store) insertBatch(enc []encTriple) []encTriple {
-	// Pass 1 — SPO, the arbiter of newness: group the batch by subject
-	// shard, lock each shard once, and keep only the triples that were
-	// actually absent.
-	// fresh reuses enc's storage; byShard holds copies, so overwriting the
-	// prefix of enc during pass 1 is safe.
-	fresh := enc[:0]
-	var byShard [numShards][]encTriple
-	for _, e := range enc {
-		sh := shardOf(e.s)
-		byShard[sh] = append(byShard[sh], e)
-	}
-	for i := range byShard {
-		if len(byShard[i]) == 0 {
+// fresh subset, in new storage; enc is only read). It is the shared body of
+// AddBatch and AddIDBatch. Each family pass groups the batch by shard once
+// (a counting sort into one scratch slice) and locks every touched shard
+// once.
+func (s *Store) insertBatch(enc []IDTriple) []IDTriple {
+	// Pass 1 — SPO, the arbiter of newness: keep only the triples that were
+	// actually absent, compacting them to the front of the grouped copy (the
+	// write position never passes the read position).
+	grouped := make([]IDTriple, len(enc))
+	bounds := shardGroup(grouped, enc, rotSPO)
+	fresh := grouped[:0]
+	for i := range s.spo {
+		part := grouped[bounds[i]:bounds[i+1]]
+		if len(part) == 0 {
 			continue
 		}
 		sh := &s.spo[i]
 		sh.mu.Lock()
-		sh.reserve(len(byShard[i]))
-		for _, e := range byShard[i] {
-			if sh.insertLocked(e.s, e.p, e.o) {
+		sh.reserve(len(part))
+		for _, e := range part {
+			if sh.insertLocked(e.S, e.P, e.O) {
 				fresh = append(fresh, e)
 			}
 		}
 		sh.mu.Unlock()
-		byShard[i] = nil
 	}
-
-	// Passes 2 and 3 — POS and OSP for the fresh triples only, again one
-	// lock per touched shard.
-	for _, e := range fresh {
-		sh := shardOf(e.p)
-		byShard[sh] = append(byShard[sh], e)
-	}
-	for i := range byShard {
-		if len(byShard[i]) == 0 {
-			continue
-		}
-		sh := &s.pos[i]
-		sh.mu.Lock()
-		for _, e := range byShard[i] {
-			sh.insertLocked(e.p, e.o, e.s)
-		}
-		sh.mu.Unlock()
-		byShard[i] = nil
-	}
-	for _, e := range fresh {
-		sh := shardOf(e.o)
-		byShard[sh] = append(byShard[sh], e)
-	}
-	for i := range byShard {
-		if len(byShard[i]) == 0 {
-			continue
-		}
-		sh := &s.osp[i]
-		sh.mu.Lock()
-		sh.reserve(len(byShard[i]))
-		for _, e := range byShard[i] {
-			sh.insertLocked(e.o, e.s, e.p)
-		}
-		sh.mu.Unlock()
-		byShard[i] = nil
-	}
-
+	// Passes 2 and 3 — POS and OSP for the fresh triples only.
+	scratch := make([]IDTriple, len(fresh))
+	s.pos.insertGrouped(scratch, fresh, rotPOS)
+	s.osp.insertGrouped(scratch, fresh, rotOSP)
 	s.size.Add(int64(len(fresh)))
 	return fresh
+}
+
+// insertGrouped inserts ts into the family, rotated into its frame, locking
+// each touched shard once. scratch (len(ts) long) holds the shard-grouped
+// copy.
+func (f *indexFamily) insertGrouped(scratch, ts []IDTriple, rot rotation) {
+	bounds := shardGroup(scratch, ts, rot)
+	for i := range f {
+		part := scratch[bounds[i]:bounds[i+1]]
+		if len(part) == 0 {
+			continue
+		}
+		sh := &f[i]
+		sh.mu.Lock()
+		if rot != rotPOS {
+			// POS leads are predicates — a handful per batch — so sizing
+			// its maps by the batch would over-allocate.
+			sh.reserve(len(part))
+		}
+		for _, e := range part {
+			r := rotate(e, rot)
+			sh.insertLocked(r.S, r.P, r.O)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// FilterAbsentID compacts ts in place to the triples the store does not
+// hold and returns that prefix, in unspecified order. The batch is
+// partitioned by SPO shard in place (no scratch allocation) and each
+// touched shard is probed under one read lock — instead of one lock round
+// trip per triple, as repeated ContainsID calls would take. The
+// materialization engine runs every chunk of derived heads through it
+// against the asserted base before inserting the survivors into its
+// overlay.
+func (s *Store) FilterAbsentID(ts []IDTriple) []IDTriple {
+	var bounds [numShards + 1]int
+	for _, t := range ts {
+		bounds[shardOf(t.S)+1]++
+	}
+	for i := 0; i < numShards; i++ {
+		bounds[i+1] += bounds[i]
+	}
+	// Cycle each misplaced triple into its shard's region (an in-place
+	// counting sort): next[b] is the first slot of region b not yet known
+	// to hold a shard-b triple.
+	next := bounds
+	for b := 0; b < numShards; b++ {
+		for next[b] < bounds[b+1] {
+			t := ts[next[b]]
+			for d := shardOf(t.S); d != uint32(b); d = shardOf(t.S) {
+				t, ts[next[d]] = ts[next[d]], t
+				next[d]++
+			}
+			ts[next[b]] = t
+			next[b]++
+		}
+	}
+	// Compact the absent triples to the front; the write position never
+	// passes the read position.
+	out := ts[:0]
+	for i := range s.spo {
+		lo, hi := bounds[i], bounds[i+1]
+		if lo == hi {
+			continue
+		}
+		sh := &s.spo[i]
+		sh.mu.RLock()
+		for _, t := range ts[lo:hi] {
+			if !sh.containsLocked(t.S, t.P, t.O) {
+				out = append(out, t)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// shardGroup copies ts into dst (len(dst) == len(ts)) grouped by the shard
+// of each triple's leading component in the rot frame — a stable counting
+// sort — and returns the group boundaries: shard i's triples are
+// dst[bounds[i]:bounds[i+1]], still in their original (unrotated) form.
+func shardGroup(dst, ts []IDTriple, rot rotation) (bounds [numShards + 1]int) {
+	for _, t := range ts {
+		bounds[shardOf(rotate(t, rot).S)+1]++
+	}
+	for i := 0; i < numShards; i++ {
+		bounds[i+1] += bounds[i]
+	}
+	next := bounds
+	for _, t := range ts {
+		sh := shardOf(rotate(t, rot).S)
+		dst[next[sh]] = t
+		next[sh]++
+	}
+	return bounds
 }

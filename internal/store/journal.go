@@ -109,44 +109,35 @@ func commitJournal(j Journal) error {
 	return nil
 }
 
-// AddIDBatch inserts a batch of dictionary-encoded triples, returning how
-// many were newly inserted — the id-level twin of AddBatch, used by recovery
-// to bulk-load segment runs and replayed log records without resolving a
+// AddIDBatch inserts a batch of dictionary-encoded triples and returns the
+// newly inserted ones (duplicates, within the batch or against the store,
+// excluded; in unspecified order, in new storage that is read-only — an
+// attached journal may retain it; ts itself is left untouched) — the id-level
+// twin of AddBatch, used by recovery to bulk-load replayed log records and
+// by the materialization engine to insert derived heads without resolving a
 // single string. Validation is all-or-nothing exactly as AddBatch: every
 // component id must have been minted by the store's dictionary, and if any
 // was not, an error identifying the first offending triple is returned and
 // nothing is inserted. Like AddBatch it visits each index shard at most once
-// per family pass, and shares its in-flight visibility caveats.
-func (s *Store) AddIDBatch(ts []IDTriple) (int, error) {
+// per family pass, and shares its in-flight visibility caveats and its
+// journal contract (a commit failure returns the fresh triples with an
+// error wrapping ErrJournal).
+func (s *Store) AddIDBatch(ts []IDTriple) ([]IDTriple, error) {
 	n := SymbolID(s.DictLen())
 	for i, t := range ts {
 		if t.S >= n || t.P >= n || t.O >= n {
-			return 0, fmt.Errorf("store: batch id triple %d %v has an id the dictionary never minted; batch not inserted", i, t)
+			return nil, fmt.Errorf("store: batch id triple %d %v has an id the dictionary never minted; batch not inserted", i, t)
 		}
 	}
 	if len(ts) == 0 {
-		return 0, nil
+		return nil, nil
 	}
-	enc := make([]encTriple, 0, len(ts))
-	for _, t := range ts {
-		enc = append(enc, encTriple{t.S, t.P, t.O})
-	}
-	fresh := s.insertBatch(enc)
+	fresh := s.insertBatch(ts)
 	if j := s.getJournal(); j != nil && len(fresh) > 0 {
-		j.JournalAdd(freshIDs(fresh))
+		j.JournalAdd(fresh)
 		if err := commitJournal(j); err != nil {
-			return len(fresh), err
+			return fresh, err
 		}
 	}
-	return len(fresh), nil
-}
-
-// freshIDs converts the batch path's encoded triples to the exported id form
-// the journal receives.
-func freshIDs(fresh []encTriple) []IDTriple {
-	out := make([]IDTriple, len(fresh))
-	for i, e := range fresh {
-		out[i] = IDTriple{S: e.s, P: e.p, O: e.o}
-	}
-	return out
+	return fresh, nil
 }

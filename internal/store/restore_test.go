@@ -200,3 +200,162 @@ func TestRestoreSortedRejectsBadInput(t *testing.T) {
 		})
 	}
 }
+
+// overlayIDs interns a reversed, shuffled and duplicated copy of corpus into
+// base's dictionary, plus a "fan" triple (predicate fan object) per corpus
+// triple so that (S, P) groups hold many objects — an overlay-shaped id set
+// whose names the base mostly knows but whose triples it does not hold.
+func overlayIDs(t *testing.T, base *Store, corpus []Triple) []IDTriple {
+	t.Helper()
+	intern := func(name string) SymbolID {
+		id, err := base.Intern(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	var ids []IDTriple
+	for i, tr := range corpus {
+		ids = append(ids,
+			IDTriple{S: intern(tr.Object), P: intern(tr.Predicate), O: intern(tr.Subject)},
+			IDTriple{S: intern(tr.Predicate), P: intern("fan"), O: intern(tr.Object)})
+		if i%5 == 0 {
+			ids = append(ids, ids[len(ids)-1]) // a duplicate
+		}
+	}
+	// Deterministic shuffle, so the sort has work to do.
+	for i := range ids {
+		j := (i * 7919) % len(ids)
+		ids[i], ids[j] = ids[j], ids[i]
+	}
+	return ids
+}
+
+// TestRestoreSortedSharedBuilderOnOverlay drives RestoreSorted's index
+// builder through BuildSorted on a dictionary-sharing overlay — the
+// materialization engine's bulk-built first round — and holds the result to
+// an overlay built through the incremental batch path: same contents, same
+// index-level reads and per-shard counts, the same behaviour under later
+// mutation, and the base untouched. It also checks SortIDTriples against a
+// comparison sort.
+func TestRestoreSortedSharedBuilderOnOverlay(t *testing.T) {
+	base := New()
+	if _, err := base.AddBatch(skewedCorpus(500)); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotOf(t, base)
+	ids := overlayIDs(t, base, skewedCorpus(2000))
+
+	ref := base.NewOverlay()
+	if _, err := ref.AddIDBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]IDTriple(nil), ids...)
+	sort.Slice(want, func(i, j int) bool { return idTripleLess(want[i], want[j]) })
+	uniq := want[:0]
+	for i, tr := range want {
+		if i == 0 || tr != want[i-1] {
+			uniq = append(uniq, tr)
+		}
+	}
+	sorted := SortIDTriples(append([]IDTriple(nil), ids...))
+	if fmt.Sprint(sorted) != fmt.Sprint(uniq) {
+		t.Fatal("SortIDTriples disagrees with a comparison sort plus deduplication")
+	}
+
+	got := base.NewOverlay()
+	if err := got.BuildSorted(sorted); err != nil {
+		t.Fatalf("BuildSorted: %v", err)
+	}
+	if got.Len() != ref.Len() || got.Len() != len(uniq) {
+		t.Fatalf("Len: built %d, incremental %d, distinct input %d", got.Len(), ref.Len(), len(uniq))
+	}
+	if a, b := snapshotOf(t, got), snapshotOf(t, ref); a != b {
+		t.Fatal("bulk-built overlay snapshot differs from the incrementally built one")
+	}
+	for i := 0; i < got.NumShards(); i++ {
+		if g, r := got.ShardTripleCount(i), ref.ShardTripleCount(i); g != r {
+			t.Fatalf("ShardTripleCount(%d): built %d, incremental %d", i, g, r)
+		}
+	}
+	for _, p := range []Pattern{
+		{Object: "hub"},
+		{Predicate: "links"},
+		{Subject: "v"},
+		{Subject: "v", Predicate: "attr3"},
+		{Predicate: "p4", Object: "s17"},
+	} {
+		ip, ok := got.encodePattern(p)
+		if !ok {
+			t.Fatalf("pattern %v names an unknown symbol", p)
+		}
+		if g, r := got.StatsID(ip), ref.StatsID(ip); g != r {
+			t.Fatalf("StatsID(%v): built %+v, incremental %+v", p, g, r)
+		}
+		if g, r := got.Query(p), ref.Query(p); fmt.Sprint(g) != fmt.Sprint(r) {
+			t.Fatalf("Query(%v): built %v, incremental %v", p, g, r)
+		}
+	}
+	mutate := func(s *Store) {
+		for _, tr := range sorted[:40] {
+			if !s.RemoveID(tr) {
+				t.Fatalf("RemoveID(%v) reported absent", tr)
+			}
+		}
+		if added, err := s.AddID(sorted[len(sorted)-1]); err != nil || added {
+			t.Fatalf("duplicate AddID = %v, %v; want false, nil", added, err)
+		}
+		if _, err := s.AddIDBatch(sorted[:20]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutate(ref)
+	mutate(got)
+	if a, b := snapshotOf(t, got), snapshotOf(t, ref); a != b {
+		t.Fatal("post-mutation overlay snapshots diverge")
+	}
+	if snapshotOf(t, base) != before {
+		t.Fatal("building the overlay changed the base store")
+	}
+}
+
+// TestRestoreSortedSharedBuilderRejectsBadInput is the BuildSorted half of
+// the rejection suite: every refusal leaves the overlay empty, and the
+// dictionary-installing RestoreSorted refuses an overlay whose shared
+// dictionary is already populated.
+func TestRestoreSortedSharedBuilderRejectsBadInput(t *testing.T) {
+	base := New()
+	base.MustAdd(Triple{Subject: "a", Predicate: "b", Object: "c"}) // ids 0, 1, 2
+	cases := []struct {
+		name    string
+		prep    func() *Store
+		triples []IDTriple
+	}{
+		{"overlay holds triples", func() *Store {
+			o := base.NewOverlay()
+			o.MustAdd(Triple{Subject: "c", Predicate: "b", Object: "a"})
+			return o
+		}, nil},
+		{"journal attached", func() *Store { o := base.NewOverlay(); o.SetJournal(nopJournal{}); return o }, nil},
+		{"id out of range", base.NewOverlay, []IDTriple{{0, 1, SymbolID(base.DictLen())}}},
+		{"unsorted", base.NewOverlay, []IDTriple{{2, 1, 0}, {0, 1, 2}}},
+		{"duplicate triple", base.NewOverlay, []IDTriple{{2, 1, 0}, {2, 1, 0}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.prep()
+			n := o.Len()
+			if err := o.BuildSorted(tc.triples); err == nil {
+				t.Fatal("BuildSorted accepted invalid input")
+			}
+			if o.Len() != n {
+				t.Fatalf("rejected BuildSorted changed the overlay size %d → %d", n, o.Len())
+			}
+		})
+	}
+	t.Run("RestoreSorted onto a populated shared dictionary", func(t *testing.T) {
+		if err := base.NewOverlay().RestoreSorted([]string{"a", "b", "c"}, nil); err == nil {
+			t.Fatal("RestoreSorted replaced a dictionary other stores share")
+		}
+	})
+}

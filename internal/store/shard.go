@@ -31,11 +31,6 @@ const (
 	setSpill = 32
 )
 
-// encTriple is a dictionary-encoded triple: three symbol-table ids.
-type encTriple struct {
-	s, p, o uint32
-}
-
 // shardOf maps a leading-component id to its shard. Ids are dense sequential
 // integers, so a Fibonacci mix spreads consecutive ids across shards.
 func shardOf(id uint32) uint32 {
@@ -314,11 +309,11 @@ type tripleLocker struct {
 	spo, pos, osp *shard
 }
 
-func (s *Store) lockTriple(e encTriple) tripleLocker {
+func (s *Store) lockTriple(e IDTriple) tripleLocker {
 	l := tripleLocker{
-		spo: s.spo.shard(e.s),
-		pos: s.pos.shard(e.p),
-		osp: s.osp.shard(e.o),
+		spo: s.spo.shard(e.S),
+		pos: s.pos.shard(e.P),
+		osp: s.osp.shard(e.O),
 	}
 	l.spo.mu.Lock() //ontolint:ignore lockcheck held across return by design; the caller releases all three via tripleLocker.unlock
 	l.pos.mu.Lock() //ontolint:ignore lockcheck fixed family order (SPO, POS, OSP) makes the nested acquisition deadlock-free

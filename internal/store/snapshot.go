@@ -42,24 +42,23 @@ const restoreChunk = 4096
 // Partial-commit contract: a malformed or invalid entry aborts the restore
 // with an error identifying the entry number, and the valid triples read
 // before the error REMAIN in the store — Restore streams through the batch
-// path and is deliberately not transactional, so a multi-gigabyte snapshot
-// never has to be buffered twice. Callers that must not observe (or serve,
-// or journal) a partially restored corpus restore into a scratch store
-// first and move the triples over only on success, as cmd/ontoserve does:
+// path in chunks and is deliberately not transactional, so a
+// multi-gigabyte snapshot never has to be buffered whole. Callers that must
+// not observe (or serve, or journal) a partially restored corpus decode it
+// whole with DecodeSnapshot first — the same decoder — and assert it only
+// on success, as cmd/ontoserve does:
 //
-//	scratch := store.New()
-//	if _, err := store.Restore(scratch, r); err != nil {
-//	    return err // nothing reached the real store
+//	ts, err := store.DecodeSnapshot(r)
+//	if err != nil {
+//	    return err // nothing reached the store
 //	}
-//	_, err := s.AddBatch(scratch.Triples())
+//	_, err = s.AddBatch(ts)
 //
 // Ingest goes through the batch path in chunks, so restoring a large
 // snapshot locks each index shard a handful of times instead of three times
 // per triple.
 func Restore(s *Store, r io.Reader) (int, error) {
-	dec := json.NewDecoder(r)
 	added := 0
-	line := 0
 	chunk := make([]Triple, 0, restoreChunk)
 	flush := func() error {
 		n, err := s.AddBatch(chunk)
@@ -67,31 +66,57 @@ func Restore(s *Store, r io.Reader) (int, error) {
 		chunk = chunk[:0]
 		return err
 	}
-	for {
+	err := decodeSnapshot(r, func(t Triple) error {
+		chunk = append(chunk, t)
+		if len(chunk) == restoreChunk {
+			return flush()
+		}
+		return nil
+	})
+	// The valid prefix is flushed even when decoding failed; a flush
+	// failure takes precedence over the decoding error it follows.
+	if ferr := flush(); ferr != nil {
+		return added, ferr
+	}
+	return added, err
+}
+
+// DecodeSnapshot reads a whole snapshot produced by Snapshot into memory, in
+// file order (duplicates kept). It is all-or-nothing: a malformed or invalid
+// entry returns an error identifying the entry number and no triples, so a
+// caller that asserts the result only on success can never serve a
+// partially loaded corpus — without staging it through a scratch store.
+func DecodeSnapshot(r io.Reader) ([]Triple, error) {
+	var ts []Triple
+	if err := decodeSnapshot(r, func(t Triple) error {
+		ts = append(ts, t)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return ts, nil
+}
+
+// decodeSnapshot is the one snapshot decoder behind Restore and
+// DecodeSnapshot: it streams every entry to emit in file order and stops at
+// the first malformed entry, invalid triple or emit error, reporting
+// entries by their 1-based number.
+func decodeSnapshot(r io.Reader, emit func(Triple) error) error {
+	dec := json.NewDecoder(r)
+	for line := 1; ; line++ {
 		var t Triple
 		err := dec.Decode(&t)
 		if err == io.EOF {
-			ferr := flush()
-			return added, ferr
+			return nil
 		}
-		line++
 		if err != nil {
-			if ferr := flush(); ferr != nil {
-				return added, ferr
-			}
-			return added, fmt.Errorf("store: decoding snapshot entry %d: %w", line, err)
+			return fmt.Errorf("store: decoding snapshot entry %d: %w", line, err)
 		}
 		if !t.valid() {
-			if ferr := flush(); ferr != nil {
-				return added, ferr
-			}
-			return added, fmt.Errorf("store: snapshot entry %d: triple %v has an empty component", line, t)
+			return fmt.Errorf("store: snapshot entry %d: triple %v has an empty component", line, t)
 		}
-		chunk = append(chunk, t)
-		if len(chunk) == restoreChunk {
-			if err := flush(); err != nil {
-				return added, err
-			}
+		if err := emit(t); err != nil {
+			return err
 		}
 	}
 }

@@ -75,6 +75,37 @@ func TestRestoreMalformedInput(t *testing.T) {
 	}
 }
 
+// TestDecodeSnapshotAllOrNothing pins the staging decoder Restore shares:
+// a clean snapshot decodes whole, in file order with duplicates kept, and
+// any malformed or invalid entry yields no triples and an error naming the
+// entry — the same numbering Restore reports.
+func TestDecodeSnapshotAllOrNothing(t *testing.T) {
+	good := `{"Subject":"b","Predicate":"p","Object":"o"}
+{"Subject":"a","Predicate":"p","Object":"o"}
+{"Subject":"b","Predicate":"p","Object":"o"}
+`
+	ts, err := DecodeSnapshot(strings.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Triple{{"b", "p", "o"}, {"a", "p", "o"}, {"b", "p", "o"}}; fmt.Sprint(ts) != fmt.Sprint(want) {
+		t.Fatalf("DecodeSnapshot = %v, want %v", ts, want)
+	}
+	for _, bad := range []string{
+		good + "{bad\n",
+		good + `{"Subject":"","Predicate":"p","Object":"o"}`,
+	} {
+		ts, err := DecodeSnapshot(strings.NewReader(bad))
+		if err == nil || ts != nil {
+			t.Fatalf("DecodeSnapshot of a bad 4th entry = %v, %v; want no triples and an error", ts, err)
+		}
+		_, rerr := Restore(New(), strings.NewReader(bad))
+		if !strings.Contains(err.Error(), "entry 4") || rerr == nil || rerr.Error() != err.Error() {
+			t.Fatalf("DecodeSnapshot error %q and Restore error %v must both name entry 4", err, rerr)
+		}
+	}
+}
+
 // TestSnapshotRestoreProperty checks the round trip over random stores.
 func TestSnapshotRestoreProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -129,16 +129,16 @@ func (s *Store) Add(t Triple) (bool, error) {
 	}
 	e := s.syms.internTriple(t)
 	l := s.lockTriple(e)
-	added := l.spo.insertLocked(e.s, e.p, e.o)
+	added := l.spo.insertLocked(e.S, e.P, e.O)
 	if added {
-		l.pos.insertLocked(e.p, e.o, e.s)
-		l.osp.insertLocked(e.o, e.s, e.p)
+		l.pos.insertLocked(e.P, e.O, e.S)
+		l.osp.insertLocked(e.O, e.S, e.P)
 	}
 	l.unlock()
 	if added {
 		s.size.Add(1)
 		if j := s.getJournal(); j != nil {
-			j.JournalAdd([]IDTriple{{S: e.s, P: e.p, O: e.o}})
+			j.JournalAdd([]IDTriple{e})
 			if err := commitJournal(j); err != nil {
 				return true, err
 			}
@@ -174,16 +174,16 @@ func (s *Store) Remove(t Triple) bool {
 		return false
 	}
 	l := s.lockTriple(e)
-	removed := l.spo.removeLocked(e.s, e.p, e.o)
+	removed := l.spo.removeLocked(e.S, e.P, e.O)
 	if removed {
-		l.pos.removeLocked(e.p, e.o, e.s)
-		l.osp.removeLocked(e.o, e.s, e.p)
+		l.pos.removeLocked(e.P, e.O, e.S)
+		l.osp.removeLocked(e.O, e.S, e.P)
 	}
 	l.unlock()
 	if removed {
 		s.size.Add(-1)
 		if j := s.getJournal(); j != nil {
-			j.JournalRemove(IDTriple{S: e.s, P: e.p, O: e.o})
+			j.JournalRemove(e)
 			_ = commitJournal(j) // sticky in the journal; no error slot here
 		}
 	}
@@ -230,10 +230,10 @@ func (s *Store) Contains(t Triple) bool {
 	if !ok {
 		return false
 	}
-	sh := s.spo.shard(e.s)
+	sh := s.spo.shard(e.S)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.containsLocked(e.s, e.p, e.o)
+	return sh.containsLocked(e.S, e.P, e.O)
 }
 
 // QueryFunc streams every triple matching the pattern to yield, stopping

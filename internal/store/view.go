@@ -100,12 +100,11 @@ func (s *Store) AddID(t IDTriple) (bool, error) {
 	if !s.validID(t) {
 		return false, fmt.Errorf("store: AddID: triple %v has an id the dictionary never minted", t)
 	}
-	e := encTriple{t.S, t.P, t.O}
-	l := s.lockTriple(e)
-	added := l.spo.insertLocked(e.s, e.p, e.o)
+	l := s.lockTriple(t)
+	added := l.spo.insertLocked(t.S, t.P, t.O)
 	if added {
-		l.pos.insertLocked(e.p, e.o, e.s)
-		l.osp.insertLocked(e.o, e.s, e.p)
+		l.pos.insertLocked(t.P, t.O, t.S)
+		l.osp.insertLocked(t.O, t.S, t.P)
 	}
 	l.unlock()
 	if added {
@@ -127,12 +126,11 @@ func (s *Store) RemoveID(t IDTriple) bool {
 	if !s.validID(t) {
 		return false
 	}
-	e := encTriple{t.S, t.P, t.O}
-	l := s.lockTriple(e)
-	removed := l.spo.removeLocked(e.s, e.p, e.o)
+	l := s.lockTriple(t)
+	removed := l.spo.removeLocked(t.S, t.P, t.O)
 	if removed {
-		l.pos.removeLocked(e.p, e.o, e.s)
-		l.osp.removeLocked(e.o, e.s, e.p)
+		l.pos.removeLocked(t.P, t.O, t.S)
+		l.osp.removeLocked(t.O, t.S, t.P)
 	}
 	l.unlock()
 	if removed {

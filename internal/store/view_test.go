@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -198,6 +199,55 @@ func TestInternAndIDWrites(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Errorf("Len = %d, want 0", s.Len())
+	}
+}
+
+// TestBatchedIDWrites covers the materialization engine's head sink:
+// FilterAbsentID drops exactly the triples a store holds, and AddIDBatch
+// returns exactly the fresh subset (in-batch and stored duplicates
+// excluded), refusing unminted ids all-or-nothing.
+func TestBatchedIDWrites(t *testing.T) {
+	base := New()
+	var ids []IDTriple
+	for i := 0; i < 300; i++ {
+		tr := Triple{Subject: fmt.Sprintf("s%d", i%37), Predicate: fmt.Sprintf("p%d", i%5), Object: fmt.Sprintf("o%d", i)}
+		if i%3 == 0 {
+			base.MustAdd(tr)
+		}
+		var id [3]SymbolID
+		for k, name := range []string{tr.Subject, tr.Predicate, tr.Object} {
+			id[k], _ = base.Intern(name)
+		}
+		ids = append(ids, IDTriple{S: id[0], P: id[1], O: id[2]})
+	}
+	var want []IDTriple
+	for i, tr := range ids {
+		if i%3 != 0 {
+			want = append(want, tr)
+		}
+	}
+	absent := base.FilterAbsentID(append([]IDTriple(nil), ids...))
+	if got := SortIDTriples(append([]IDTriple(nil), absent...)); fmt.Sprint(got) != fmt.Sprint(SortIDTriples(want)) {
+		t.Fatalf("FilterAbsentID kept %v, want exactly the 200 unasserted %v", got, want)
+	}
+	overlay := base.NewOverlay()
+	batch := append(append([]IDTriple(nil), absent[:150]...), absent[:10]...)
+	fresh, err := overlay.AddIDBatch(batch)
+	if err != nil || len(fresh) != 150 || overlay.Len() != 150 {
+		t.Fatalf("AddIDBatch = %d fresh, %v (overlay %d); want 150, nil, 150", len(fresh), err, overlay.Len())
+	}
+	fresh, err = overlay.AddIDBatch(absent[100:])
+	if err != nil || len(fresh) != 50 {
+		t.Fatalf("overlapping AddIDBatch = %d fresh, %v; want the 50 new ones", len(fresh), err)
+	}
+	for _, tr := range fresh {
+		if !overlay.ContainsID(tr) {
+			t.Fatalf("fresh triple %v missing from the overlay", tr)
+		}
+	}
+	bad := []IDTriple{absent[0], {S: SymbolID(base.DictLen()), P: 0, O: 0}}
+	if fresh, err := overlay.AddIDBatch(bad); err == nil || fresh != nil || overlay.Len() != 200 {
+		t.Fatalf("AddIDBatch with an unminted id = %v, %v (overlay %d); want nothing inserted and an error", fresh, err, overlay.Len())
 	}
 }
 
