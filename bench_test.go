@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strconv"
 	"testing"
@@ -463,39 +462,45 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelLeafScan measures the shard-parallel leaf scan: the
-// unselective full scan ?s ?p ?o over the 10⁵-triple join corpus, under
-// GOMAXPROCS=1 (sequential cursor) and GOMAXPROCS=4 (scan parts drained by
-// concurrent workers and merged). The evaluator picks the worker count from
-// GOMAXPROCS, so the two sub-benchmarks exercise the two paths; on a
-// multi-core machine the 4-proc form shows the parallel speedup (a
-// single-core CI runner times both the same, modulo merge overhead).
-func BenchmarkParallelLeafScan(b *testing.B) {
+// BenchmarkLeafScan measures the leaf scan alone: a consumer pulling whole
+// batches (Solutions.NextBatch) off the scan cursors of ?s ?p ?o (a full
+// scan) and ?s locatedIn ?o (one POS lead entry) over the 10⁵-triple join
+// corpus. These two shapes are the ones the shard-parallel scan was tried
+// and rejected on (EXPERIMENTS.md, "The leaf scan").
+func BenchmarkLeafScan(b *testing.B) {
 	s := store.New()
 	if _, err := s.AddBatch(joinWorkload(100_000)); err != nil {
 		b.Fatal(err)
 	}
-	bgp := query.MustParseBGP("?s ?p ?o")
-	for _, procs := range []int{1, 4} {
-		b.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
+	for _, c := range []struct {
+		name, bgp string
+		rows      int
+	}{
+		{"full", "?s ?p ?o", 100_000},
+		{"locatedIn", "?s locatedIn ?o", s.Count(store.Pattern{Predicate: "locatedIn"})},
+	} {
+		bgp := query.MustParseBGP(c.bgp)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sols := query.Eval(s, bgp)
 				n := 0
-				for sols.Next() {
-					n++
+				for {
+					sb, ok := sols.NextBatch()
+					if !ok {
+						break
+					}
+					n += sb.Len()
 				}
 				if err := sols.Err(); err != nil {
 					b.Fatal(err)
 				}
-				if n != 100_000 {
-					b.Fatalf("scanned %d solutions, want 100000", n)
+				if n != c.rows {
+					b.Fatalf("scanned %d rows, want %d", n, c.rows)
 				}
 			}
-			b.ReportMetric(float64(100_000)*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
+			b.ReportMetric(float64(c.rows)*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
 		})
 	}
 }

@@ -21,19 +21,16 @@ var ErrInterrupted = exec.ErrInterrupted
 // union of a materialized store): dictionary lookups and cardinality
 // statistics for the planner, plus the batched scan/probe hooks the operator
 // runtime (repro/internal/query/exec) executes with. Anything exposing these
-// eight methods can sit under a BGP.
+// six methods can sit under a BGP.
 type Source interface {
 	// SymbolID returns the dictionary id of a name; ok is false for names
 	// never interned (a pattern bound to one matches nothing).
 	SymbolID(name string) (store.SymbolID, bool)
-	// QueryIDFunc streams every triple matching the id pattern to yield,
-	// stopping early when yield returns false.
-	QueryIDFunc(p store.IDPattern, yield func(store.IDTriple) bool)
 	// QueryIDBatch answers a batch of same-shape probes, grouped by index
 	// shard (see store.QueryIDBatch) — the join operators' probe hook.
 	QueryIDBatch(ps []store.IDPattern, yield func(pi int, t store.IDTriple) bool)
-	// ScanParts splits a pattern's matches into independently drainable
-	// cursors (see store.ScanParts) — the leaf operators' scan hook.
+	// ScanParts returns the resumable cursors covering a pattern's matches
+	// (see store.ScanParts) — the leaf operators' scan hook.
 	ScanParts(p store.IDPattern, max int) []*store.ScanPart
 	// CountID returns the number of triples matching the id pattern.
 	CountID(p store.IDPattern) int
@@ -161,7 +158,7 @@ type Solutions struct {
 // exhaustively for BGPs of up to 6 patterns, greedily cheapest-next-probe
 // beyond. The planner's output is then lowered onto a batched operator tree
 // (repro/internal/query/exec): the most selective pattern becomes the leaf
-// scan — shard-parallel when it is wide enough — and every later pattern a
+// scan, draining the store's resumable cursors, and every later pattern a
 // batch-at-a-time index-nested-loop join whose probes are grouped by index
 // shard. Everything runs on dictionary ids; solutions resolve back to
 // strings only when read.
@@ -242,13 +239,13 @@ func Eval(src Source, bgp BGP, opts ...Option) *Solutions {
 		// solution.
 		return sol
 	}
-	ordered, estFirst := plan(src, levels, len(sol.vars), cfg.trace)
+	ordered := plan(src, levels, len(sol.vars), cfg.trace)
 	if tr := cfg.trace; tr != nil {
 		for i := range tr.Levels {
 			tr.Levels[i].Pattern = bgp[tr.Levels[i].Index].String()
 		}
 	}
-	sol.root = build(src, ordered, len(sol.vars), estFirst, cfg.trace)
+	sol.root = build(src, ordered, len(sol.vars), cfg.trace)
 	return sol
 }
 
@@ -278,10 +275,10 @@ func bgpVars(b BGP) []string {
 }
 
 // build lowers the planned levels onto the operator tree: the first level
-// becomes the leaf scan (sized by the planner's estimate so wide scans go
-// shard-parallel), every later level a batched probe join. With a trace
-// attached, each lowered operator is instrumented with its level's OpStat.
-func build(src Source, ordered []level, nvars int, estFirst float64, tr *Trace) exec.Op {
+// becomes the leaf scan, every later level a batched probe join. With a
+// trace attached, each lowered operator is instrumented with its level's
+// OpStat.
+func build(src Source, ordered []level, nvars int, tr *Trace) exec.Op {
 	bound := make([]bool, nvars)
 	var root exec.Op
 	for li := range ordered {
@@ -295,7 +292,7 @@ func build(src Source, ordered []level, nvars int, estFirst float64, tr *Trace) 
 			}
 		}
 		if root == nil {
-			root = exec.NewScan(src, pat, lv.expand, nvars, int(estFirst))
+			root = exec.NewScan(src, pat, lv.expand, nvars)
 		} else {
 			root = exec.NewJoin(root, src, pat, lv.expand, append([]bool(nil), bound...), nvars)
 		}
@@ -408,23 +405,21 @@ const planScratchVars = 24
 // follows join-bound variables through their most selective probe direction;
 // disconnected pattern groups end up cheapest-first, keeping the unavoidable
 // cartesian product as small as possible. The returned order is what build
-// lowers onto the operator tree; the second result is the estimated match
-// count of the order's first level, which sizes the leaf scan. A non-nil tr
-// records every candidate order costed and the chosen order's per-level
-// estimates (see trace.go).
-func plan(src Source, levels []level, nvars int, tr *Trace) ([]level, float64) {
+// lowers onto the operator tree. A non-nil tr records every candidate order
+// costed and the chosen order's per-level estimates (see trace.go).
+func plan(src Source, levels []level, nvars int, tr *Trace) []level {
 	n := len(levels)
 	if n == 1 {
-		st := levelStats(src, &levels[0])
+		// One level has one order; its statistics only feed the trace.
 		if tr != nil {
-			stats := []pstats{st}
+			stats := []pstats{levelStats(src, &levels[0])}
 			bound := make([]bool, nvars)
 			order := []int{0}
 			c := planCost(levels, stats, order, bound)
 			tr.recordCandidate(levels, order, c)
 			tr.finishPlan(levels, stats, order, c, bound, true)
 		}
-		return levels, st.count
+		return levels
 	}
 	// The scratch below lives in fixed-size arrays when the BGP is small —
 	// the overwhelmingly common case — so planning itself allocates nothing.
@@ -509,7 +504,7 @@ func plan(src Source, levels []level, nvars int, tr *Trace) ([]level, float64) {
 	for _, idx := range best {
 		ordered = append(ordered, levels[idx])
 	}
-	return ordered, stats[best[0]].count
+	return ordered
 }
 
 // Next advances to the next solution, reporting whether one exists. After

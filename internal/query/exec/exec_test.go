@@ -43,7 +43,7 @@ func expandFixture(t *testing.T, candidates int) (*store.Store, exec.Pattern, []
 // reported clean exhaustion.
 func TestScanSequentialCancelledMidPull(t *testing.T) {
 	s, pat, expand := expandFixture(t, 2048)
-	op := exec.NewScan(s, pat, expand, 2, 0)
+	op := exec.NewScan(s, pat, expand, 2)
 	ctx := &exec.Ctx{Interrupt: func() bool { return true }}
 	for {
 		b, err := op.Next(ctx)
@@ -64,7 +64,7 @@ func TestScanSequentialCancelledMidPull(t *testing.T) {
 // the interrupted run stopped because of the hook and not a scan error.
 func TestScanSequentialUncancelledDrains(t *testing.T) {
 	s, pat, expand := expandFixture(t, 2048)
-	op := exec.NewScan(s, pat, expand, 2, 0)
+	op := exec.NewScan(s, pat, expand, 2)
 	ctx := &exec.Ctx{}
 	for {
 		b, err := op.Next(ctx)

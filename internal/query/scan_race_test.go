@@ -1,24 +1,23 @@
 package query
 
 // These tests back the concurrency claims of the batched evaluator's leaf
-// scans: shard-parallel scan parts refill under shard read-locks while
-// writers mutate the store (AddBatch and Remove), and while a materialized
-// View's overlay is written. Run under -race in CI. Solution sets are only
-// sanity-checked — the docs promise consistency only against a quiescent
-// store — but every streamed row must be well-formed and the iteration must
-// never error.
+// scans: the store's scan cursors refill under shard read-locks, one refill
+// at a time, while writers mutate the store (AddBatch and Remove), and while
+// a materialized View's overlay is written. Run under -race in CI. Solution
+// sets are only sanity-checked — the docs promise consistency only against a
+// quiescent store — but every streamed row must be well-formed and the
+// iteration must never error.
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/store"
 )
 
-// raceStore builds a store big enough that full scans split into parallel
-// parts (well past exec's ParallelScanMinCount).
+// raceStore builds a store big enough that a full scan takes many refills,
+// each releasing its shard lock, so writers interleave with the cursor.
 func raceStore(t testing.TB, n int) *store.Store {
 	t.Helper()
 	s := store.New()
@@ -36,14 +35,11 @@ func raceStore(t testing.TB, n int) *store.Store {
 	return s
 }
 
-// TestParallelScanUnderConcurrentWrites drives shard-parallel full scans
-// while one goroutine batch-inserts fresh triples and another removes them
-// again: the scan-part cursors must stay crash- and race-free while shards
-// mutate under them, and every pre-existing triple's row must remain
-// well-formed.
-func TestParallelScanUnderConcurrentWrites(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+// TestScanUnderConcurrentWrites drives full scans while one goroutine
+// batch-inserts fresh triples and another removes them again: the scan
+// cursor must stay crash- and race-free while shards mutate under it between
+// refills, and every pre-existing triple's row must remain well-formed.
+func TestScanUnderConcurrentWrites(t *testing.T) {
 	const n = 20_000
 	s := raceStore(t, n)
 
@@ -114,14 +110,12 @@ func TestParallelScanUnderConcurrentWrites(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelScanOverViewUnderOverlayWrites runs full scans over a
-// non-disjoint View (so overlay parts take the per-triple dedup probe into
-// the base) while the overlay is concurrently written — the
+// TestScanOverViewUnderOverlayWrites runs full scans over a View (its base
+// cursor, then its overlay cursor) while the overlay is concurrently written
+// with overlay-only triples, keeping the view's disjointness contract — the
 // materialization-refresh shape, where inferred triples stream in while
 // readers scan the union.
-func TestParallelScanOverViewUnderOverlayWrites(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+func TestScanOverViewUnderOverlayWrites(t *testing.T) {
 	const n = 20_000
 	base := raceStore(t, n)
 	overlay := base.NewOverlay()
@@ -141,6 +135,8 @@ func TestParallelScanOverViewUnderOverlayWrites(t *testing.T) {
 				return
 			default:
 			}
+			// raceStore's subjects are s0…s19999, so inf- subjects are
+			// never in the base.
 			tr := store.Triple{Subject: fmt.Sprintf("inf-%d", i%512), Predicate: "p1", Object: "o1"}
 			if i%2 == 0 {
 				if _, err := overlay.Add(tr); err != nil {

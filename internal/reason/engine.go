@@ -235,9 +235,9 @@ func materialize(base *store.Store, rules []Rule, chunk int) (*Reasoner, error) 
 	}
 	overlay := base.NewOverlay()
 	// The reasoner maintains base∩overlay = ∅ (inferred triples are exactly
-	// the derivable non-asserted ones), which is the disjoint view's promise
-	// and buys O(1) counts and dedup-free iteration.
-	view, err := store.NewDisjointView(base, overlay)
+	// the derivable non-asserted ones), which is the view's disjointness
+	// contract.
+	view, err := store.NewView(base, overlay)
 	if err != nil {
 		return nil, err
 	}
@@ -324,13 +324,19 @@ func (r *Reasoner) Rematerialize() {
 	r.notify(Delta{Reset: true})
 }
 
-// overlayTriples materializes the overlay's id triples.
+// overlayTriples materializes the overlay's id triples by draining its
+// full-scan cursor.
 func (r *Reasoner) overlayTriples() []store.IDTriple {
 	out := make([]store.IDTriple, 0, r.overlay.Len())
-	r.overlay.QueryIDFunc(store.IDPattern{}, func(t store.IDTriple) bool {
-		out = append(out, t)
-		return true
-	})
+	buf := make([]store.IDTriple, exec.BatchSize)
+	for _, pt := range r.overlay.ScanParts(store.IDPattern{}, 1) {
+		for done := false; !done; {
+			var n int
+			n, done = pt.NextBatch(buf) //ontolint:ignore interruptcheck Rematerialize is maintenance with no request to cancel; the drain is bounded by the overlay's size
+			out = append(out, buf[:n]...)
+		}
+		pt.Release()
+	}
 	return out
 }
 
@@ -373,28 +379,14 @@ func (r *Reasoner) Query(bgp query.BGP) *query.Solutions {
 // InstancesFunc streams the distinct subjects annotated with the class in
 // the materialized view, stopping early when yield returns false — the
 // E5-style class retrieval as a raw serving read: one POS index set per view
-// member, no join machinery, no ontology index, no dedup map and no
-// per-subject allocation. It leans on the reasoner's invariant that asserted
-// and inferred triples never overlap (each member's subject set is already
-// distinct, and a subject cannot hold the same annotation in both), which is
-// what lets it skip the generic View.ForEachSubject duplicate check. The
-// enumeration order is unspecified. This is the read path the
-// materialization exists for; EXPERIMENTS.md's E5c table and the root
-// BenchmarkMaterializedVsExpandedQuery measure it against the query-time
-// Expand rewrite.
+// member (View.ForEachSubject), no join machinery, no ontology index, no
+// dedup map and no per-subject allocation. The subjects are distinct because
+// asserted and inferred triples never overlap. The enumeration order is
+// unspecified. This is the read path the materialization exists for;
+// EXPERIMENTS.md's E5c table and the root BenchmarkMaterializedVsExpandedQuery
+// measure it against the query-time Expand rewrite.
 func (r *Reasoner) InstancesFunc(class string, yield func(string) bool) {
-	stopped := false
-	r.base.ForEachSubject(store.TypePredicate, class, func(s string) bool {
-		if !yield(s) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	r.overlay.ForEachSubject(store.TypePredicate, class, yield)
+	r.view.ForEachSubject(store.TypePredicate, class, yield)
 }
 
 // Instances returns the sorted distinct subjects annotated with the class in
@@ -721,7 +713,7 @@ func (r *Reasoner) naiveRound(emit func(store.IDTriple) bool) {
 				lead, best = ai, n
 			}
 		}
-		leaf := exec.NewScan(r.base, rule.body[lead].execPattern(), nil, rule.nvars, 0)
+		leaf := exec.NewScan(r.base, rule.body[lead].execPattern(), nil, rule.nvars)
 		matchFrom(rule, lead, leaf, r.base, emit)
 	}
 }

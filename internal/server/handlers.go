@@ -257,7 +257,7 @@ type HealthResponse struct {
 	// Status is "ok" whenever the server answers at all.
 	Status string `json:"status"`
 	// Triples is the materialized view's current size, a cheap liveness
-	// payload (O(1) on the disjoint view).
+	// payload (O(1): the sum of the view members' counters).
 	Triples int `json:"triples"`
 	// Replication is present on read replicas only: the catch-up status,
 	// with lag_generations as the staleness bound, so load balancers can

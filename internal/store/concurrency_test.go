@@ -56,7 +56,7 @@ func TestConcurrentShardedWritersAndReaders(t *testing.T) {
 				s.QueryFunc(Pattern{Subject: fmt.Sprintf("w%d-s%d", i%writers, i)}, func(Triple) bool { return true })
 				s.ForEachSubject("type", class, func(string) bool { return true })
 				_ = s.Count(Pattern{Predicate: "type"})
-				_ = s.Predicates()
+				_ = s.StatsID(IDPattern{})
 				_ = s.Len()
 			}
 		}(r)

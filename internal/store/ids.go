@@ -6,7 +6,7 @@ package store
 // variables bind to SymbolIDs, probes are IDPatterns, matches are IDTriples —
 // and only the final solutions are resolved back to strings through a
 // Resolver. The string-level Pattern methods (QueryFunc, Count) are thin
-// wrappers over these.
+// wrappers over these and the scan cursor of scan.go.
 
 // SymbolID is a dictionary id minted by the store's symbol table. Ids are
 // dense, append-only and never reused; they are only meaningful relative to
@@ -77,186 +77,6 @@ func (s *Store) encodePattern(p Pattern) (IDPattern, bool) {
 	return ip, true
 }
 
-// QueryIDFunc streams every triple matching the id pattern to yield, stopping
-// early when yield returns false. It picks the permutation family by the
-// pattern's bound components — bound subject → SPO, else bound predicate →
-// POS, else bound object → OSP, else a full SPO scan — and allocates nothing.
-// The enumeration order is unspecified. yield must not write to the store (it
-// runs under a shard read-lock).
-func (s *Store) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
-	switch {
-	case p.BoundS:
-		sh := s.spo.shard(p.S)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.S]
-		if e == nil {
-			return
-		}
-		if p.BoundP {
-			set := e.find(p.P)
-			if set == nil {
-				return
-			}
-			if p.BoundO {
-				if set.contains(p.O) {
-					yield(IDTriple{p.S, p.P, p.O})
-				}
-				return
-			}
-			set.forEach(func(oid SymbolID) bool {
-				return yield(IDTriple{p.S, p.P, oid})
-			})
-			return
-		}
-		e.forEach(func(pid SymbolID, objs *idSet) bool {
-			if p.BoundO {
-				if objs.contains(p.O) {
-					return yield(IDTriple{p.S, pid, p.O})
-				}
-				return true
-			}
-			return objs.forEach(func(oid SymbolID) bool {
-				return yield(IDTriple{p.S, pid, oid})
-			})
-		})
-	case p.BoundP:
-		sh := s.pos.shard(p.P)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.P]
-		if e == nil {
-			return
-		}
-		if p.BoundO {
-			set := e.find(p.O)
-			if set == nil {
-				return
-			}
-			set.forEach(func(sid SymbolID) bool {
-				return yield(IDTriple{sid, p.P, p.O})
-			})
-			return
-		}
-		e.forEach(func(oid SymbolID, subjects *idSet) bool {
-			return subjects.forEach(func(sid SymbolID) bool {
-				return yield(IDTriple{sid, p.P, oid})
-			})
-		})
-	case p.BoundO:
-		sh := s.osp.shard(p.O)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.O]
-		if e == nil {
-			return
-		}
-		e.forEach(func(sid SymbolID, preds *idSet) bool {
-			return preds.forEach(func(pid SymbolID) bool {
-				return yield(IDTriple{sid, pid, p.O})
-			})
-		})
-	default:
-		for i := range s.spo {
-			if !s.scanShardIDs(&s.spo[i], yield) {
-				return
-			}
-		}
-	}
-}
-
-// scanShardIDs streams one whole SPO shard to yield, reporting false when
-// yield stopped the enumeration.
-func (s *Store) scanShardIDs(sh *shard, yield func(IDTriple) bool) bool {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for sid, e := range sh.m {
-		ok := e.forEach(func(pid SymbolID, objs *idSet) bool {
-			return objs.forEach(func(oid SymbolID) bool {
-				return yield(IDTriple{sid, pid, oid})
-			})
-		})
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// CountID returns the exact number of triples matching the id pattern. It is
-// the planner's cardinality estimate: it runs entirely on the indexes — set
-// lengths are read off the index nodes, no triple is materialized and no
-// symbol resolved — so it is cheap enough to call once per pattern per query.
-func (s *Store) CountID(p IDPattern) int {
-	count := 0
-	switch {
-	case p.BoundS:
-		sh := s.spo.shard(p.S)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.S]
-		if e == nil {
-			return 0
-		}
-		if p.BoundP {
-			set := e.find(p.P)
-			if set == nil {
-				return 0
-			}
-			if p.BoundO {
-				if set.contains(p.O) {
-					return 1
-				}
-				return 0
-			}
-			return set.len()
-		}
-		e.forEach(func(_ SymbolID, objs *idSet) bool {
-			if p.BoundO {
-				if objs.contains(p.O) {
-					count++
-				}
-				return true
-			}
-			count += objs.len()
-			return true
-		})
-	case p.BoundP:
-		sh := s.pos.shard(p.P)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.P]
-		if e == nil {
-			return 0
-		}
-		if p.BoundO {
-			if set := e.find(p.O); set != nil {
-				return set.len()
-			}
-			return 0
-		}
-		e.forEach(func(_ SymbolID, subjects *idSet) bool {
-			count += subjects.len()
-			return true
-		})
-	case p.BoundO:
-		sh := s.osp.shard(p.O)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		e := sh.m[p.O]
-		if e == nil {
-			return 0
-		}
-		e.forEach(func(_ SymbolID, preds *idSet) bool {
-			count += preds.len()
-			return true
-		})
-	default:
-		return s.Len()
-	}
-	return count
-}
-
 // IDStats are cheap cardinality statistics for one id pattern: the exact
 // match count, and the number of distinct subjects, predicates and objects
 // among the matches — exact where an index level exposes it in O(1) (lead
@@ -270,14 +90,12 @@ type IDStats struct {
 	DistinctO int
 }
 
-// StatsID returns cardinality statistics for the id pattern. Like CountID it
-// runs entirely on the indexes, reading set lengths and entry widths; it
-// never materializes a triple or resolves a symbol.
+// StatsID returns cardinality statistics for the id pattern. It runs
+// entirely on the indexes, reading set lengths and entry widths; it never
+// materializes a triple or resolves a symbol, so it is cheap enough for the
+// planner to call once per pattern per query.
 func (s *Store) StatsID(p IDPattern) IDStats {
 	switch {
-	case p.BoundS && p.BoundP && p.BoundO:
-		n := s.CountID(p)
-		return IDStats{Count: n, DistinctS: n, DistinctP: n, DistinctO: n}
 	case p.BoundS:
 		sh := s.spo.shard(p.S)
 		sh.mu.RLock()
@@ -291,28 +109,26 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 			if set == nil {
 				return IDStats{}
 			}
+			if p.BoundO {
+				if set.contains(p.O) {
+					return IDStats{Count: 1, DistinctS: 1, DistinctP: 1, DistinctO: 1}
+				}
+				return IDStats{}
+			}
 			n := set.len()
 			return IDStats{Count: n, DistinctS: 1, DistinctP: 1, DistinctO: n}
 		}
-		st := IDStats{DistinctS: 1}
-		e.forEach(func(_ SymbolID, objs *idSet) bool {
-			if p.BoundO {
-				if objs.contains(p.O) {
-					st.Count++
-				}
-				return true
-			}
-			st.Count += objs.len()
-			st.DistinctP++
-			return true
-		})
 		if p.BoundO {
-			st.DistinctP = st.Count
-			st.DistinctO = 1
-		} else {
-			st.DistinctO = st.Count
+			n := 0
+			for i := range e.entries {
+				if e.entries[i].trail.contains(p.O) {
+					n++
+				}
+			}
+			return IDStats{Count: n, DistinctS: 1, DistinctP: n, DistinctO: 1}
 		}
-		return st
+		n := e.size()
+		return IDStats{Count: n, DistinctS: 1, DistinctP: len(e.entries), DistinctO: n}
 	case p.BoundP:
 		sh := s.pos.shard(p.P)
 		sh.mu.RLock()
@@ -329,14 +145,8 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 			n := set.len()
 			return IDStats{Count: n, DistinctS: n, DistinctP: 1, DistinctO: 1}
 		}
-		st := IDStats{DistinctP: 1}
-		e.forEach(func(_ SymbolID, subjects *idSet) bool {
-			st.Count += subjects.len()
-			st.DistinctO++
-			return true
-		})
-		st.DistinctS = st.Count
-		return st
+		n := e.size()
+		return IDStats{Count: n, DistinctS: n, DistinctP: 1, DistinctO: len(e.entries)}
 	case p.BoundO:
 		sh := s.osp.shard(p.O)
 		sh.mu.RLock()
@@ -345,14 +155,8 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 		if e == nil {
 			return IDStats{}
 		}
-		st := IDStats{DistinctO: 1}
-		e.forEach(func(_ SymbolID, preds *idSet) bool {
-			st.Count += preds.len()
-			st.DistinctS++
-			return true
-		})
-		st.DistinctP = st.Count
-		return st
+		n := e.size()
+		return IDStats{Count: n, DistinctS: len(e.entries), DistinctP: n, DistinctO: 1}
 	default:
 		st := IDStats{Count: s.Len()}
 		for i := range s.spo {
@@ -372,4 +176,14 @@ func (s *Store) StatsID(p IDPattern) IDStats {
 		}
 		return st
 	}
+}
+
+// CountID returns the exact number of triples matching the id pattern:
+// StatsID's count, with the unbound pattern answered by Len instead of a
+// walk over every shard's lead keys.
+func (s *Store) CountID(p IDPattern) int {
+	if !p.BoundS && !p.BoundP && !p.BoundO {
+		return s.Len()
+	}
+	return s.StatsID(p).Count
 }

@@ -16,8 +16,8 @@ func dumpIDState(s *Store) ([]string, []IDTriple) {
 		dict[i] = res.Name(SymbolID(i))
 	}
 	var ts []IDTriple
-	s.QueryIDFunc(IDPattern{}, func(t IDTriple) bool {
-		ts = append(ts, t)
+	drain(s.ScanParts(IDPattern{}, 1), func(batch []IDTriple) bool {
+		ts = append(ts, batch...)
 		return true
 	})
 	sort.Slice(ts, func(i, j int) bool { return idTripleLess(ts[i], ts[j]) })

@@ -2,16 +2,16 @@ package store
 
 import "sync"
 
-// This file is the store's batched scan-and-probe surface: the hooks the
-// vectorized operator runtime in repro/internal/query/exec pulls triples
-// through. Where ids.go answers one pattern at a time through a callback,
-// these hooks move triples in batches — a ScanPart is a resumable cursor that
-// fills caller-provided slices under one shard read-lock per refill, ScanParts
-// splits a pattern's matches into independently scannable parts so leaf scans
-// can run shard-parallel and merge, and QueryIDBatch answers a whole batch of
-// same-shape probes while visiting each index shard at most once. The
-// amortization is the point: a tuple-at-a-time join pays a lock round trip and
-// a callback per probe, a batched one pays them per thousand triples.
+// This file is the store's batched read surface: the hooks the vectorized
+// operator runtime in repro/internal/query/exec pulls triples through, and
+// the one way anything in the store walks a pattern's matches. A ScanPart is
+// a resumable cursor that fills caller-provided slices under one shard
+// read-lock per refill, and QueryIDBatch answers a whole batch of same-shape
+// probes while visiting each index shard at most once. The amortization is
+// the point: a tuple-at-a-time join pays a lock round trip and a callback per
+// probe, a batched one pays them per thousand triples. The string-level
+// helpers (Query, QueryFunc, Triples, ForEachSubject, Subjects) are thin
+// wrappers that drain a cursor.
 
 // Index families a ScanPart can walk, in the lead/mid/trail vocabulary of
 // shard.go: famSPO has subjects leading, famPOS predicates, famOSP objects.
@@ -34,444 +34,313 @@ func tripleOf(fam uint8, lead, mid, trail uint32) IDTriple {
 	}
 }
 
-// ScanPart is a resumable cursor over one independently scannable slice of
-// the triples matching a pattern. Obtain parts with ScanParts (or a single
-// whole-pattern cursor with ScanIDBatch) and drain each by calling NextBatch
-// until it reports done. Distinct parts of one ScanParts call cover disjoint
-// triples and may be drained concurrently from different goroutines — each
-// refill takes its shard's read-lock independently — which is how the query
-// layer's parallel leaf scans work; a single part must not be shared.
+// leadOf returns the pattern component that leads in the family.
+func leadOf(p IDPattern, fam uint8) uint32 {
+	switch fam {
+	case famPOS:
+		return p.P
+	case famOSP:
+		return p.O
+	default:
+		return p.S
+	}
+}
+
+// Cursor shapes: which index levels a ScanPart binds.
+const (
+	shapeAll       = iota // nothing bound: every SPO shard, lead by lead
+	shapeLead             // the lead only: every (mid, trail) of one entry
+	shapeLeadTrail        // lead and trail (S ? O): one membership test per mid
+	shapeLeadMid          // lead and mid: one trailing set
+	shapePoint            // all three: one membership test
+)
+
+// ScanPart is a resumable cursor over the triples of one store matching a
+// pattern. Obtain cursors with ScanParts and drain each by calling NextBatch
+// until it reports done; a cursor must not be shared between goroutines.
 //
 // Like every store iterator, a cursor overlapping concurrent writers is
 // well-formed but not snapshot-consistent: a triple inserted or removed while
-// the scan is between refills may be seen or missed, and results are only
-// guaranteed exact against quiescent members. NextBatch never blocks writers
-// for longer than one refill.
+// the scan is between refills may be seen or missed (or, when a swap-delete
+// moves an unseen element behind the cursor's position, seen twice), and
+// results are only guaranteed exact against quiescent stores. NextBatch never
+// blocks writers for longer than one refill.
 type ScanPart struct {
 	owner *Store
-	// dedup, when non-nil, suppresses triples also present in that store —
-	// how a View hands out overlay parts without double-reporting triples
-	// shadowed by the base.
-	dedup *Store
+	fam   uint8
+	shape uint8
+	lead  uint32
+	mid   uint32
+	trail uint32
 
-	fam        uint8
-	lead       uint32
-	midBound   bool
-	mid        uint32
-	trailBound bool
-	trail      uint32
-	allBound   bool
-	unbound    bool // full scan over the owner's SPO shards
-
-	// Cursor state. For unbound scans: the current shard, its snapshotted
-	// lead keys and the position in them. For single-lead scans: the entry
-	// range [midLo, midHi) and the position in it (midHi < 0 means "to the
-	// end", kept open so single-part scans do not miss entries appended
-	// after the cursor was created), plus the position within the current
-	// entry's trailing element slice — trailing sets keep their members in
-	// an indexable slice whatever their size, so a refill stops exactly at
-	// the batch boundary and resumes by position (re-clamped each refill,
-	// since the set may have mutated in between).
+	// Cursor state. A refill resumes at entry midPos of the current lead
+	// and position trailPos in that entry's trailing element slice —
+	// trailing sets keep their members in an indexable slice whatever their
+	// size, so a refill stops exactly at the batch boundary and resumes by
+	// position (re-clamped each refill, since the entry may have mutated in
+	// between). A full scan also walks shard by shard, over a snapshot of
+	// the current shard's lead entries taken under its first refill's lock.
+	midPos    int
+	trailPos  int
 	shard     int
-	shardHi   int
-	leads     []uint32
+	leads     []leadRef
 	haveLeads bool
 	leadPos   int
-	midLo     int
-	midPos    int
-	midHi     int
-	trailPos  int
-
-	// pending spills triples that did not fit the caller's batch on the
-	// unbound full-scan path, where a whole lead entry (one subject's few
-	// predicates and objects) is enumerated per lock hold; single-lead
-	// scans never spill.
-	pending []IDTriple
-	pendPos int
-	done    bool
+	done      bool
 }
 
-// NextBatch fills out with the part's next triples, returning how many were
-// written and whether the part is exhausted (done true means no further call
-// will produce anything). A refill holds the current shard's read-lock once;
-// the usual no-writes-from-the-calling-goroutine rule of QueryIDFunc does not
-// apply between calls — the lock is released before NextBatch returns.
+// leadRef is one lead entry of a full scan's shard snapshot. An entry
+// deleted after the snapshot is empty, so a stale reference yields nothing.
+type leadRef struct {
+	lead uint32
+	e    *leadEntry
+}
+
+// NextBatch fills out with the cursor's next triples, returning how many were
+// written and whether the cursor is exhausted (done true means no further
+// call will produce anything). A refill holds one shard read-lock, released
+// before NextBatch returns, so the caller may write to the store between
+// calls.
 func (pt *ScanPart) NextBatch(out []IDTriple) (int, bool) {
-	n := pt.drainPending(out)
-	if n == len(out) || pt.done {
-		return n, pt.exhausted()
+	if pt.done || len(out) == 0 {
+		return 0, pt.done
 	}
-	if pt.unbound {
-		n = pt.fillUnbound(out, n)
+	var n int
+	if pt.shape == shapeAll {
+		n = pt.fillAll(out)
 	} else {
-		n = pt.fillLead(out, n)
+		n = pt.fillLead(out)
 	}
-	return n, pt.exhausted()
+	return n, pt.done
 }
 
-// exhausted reports whether nothing at all remains, spill included.
-func (pt *ScanPart) exhausted() bool {
-	return pt.done && pt.pendPos >= len(pt.pending)
-}
-
-// drainPending moves spilled triples into out first.
-func (pt *ScanPart) drainPending(out []IDTriple) int {
+// fillAll advances a full scan: SPO shards in order, each shard's lead
+// entries snapshotted on entering it.
+func (pt *ScanPart) fillAll(out []IDTriple) int {
 	n := 0
-	for pt.pendPos < len(pt.pending) && n < len(out) {
-		out[n] = pt.pending[pt.pendPos]
-		n++
-		pt.pendPos++
-	}
-	if pt.pendPos >= len(pt.pending) {
-		pt.pending = pt.pending[:0]
-		pt.pendPos = 0
-	}
-	return n
-}
-
-// emit places one triple into out, spilling into pending once out is full and
-// applying the view's duplicate suppression.
-func (pt *ScanPart) emit(t IDTriple, out []IDTriple, n *int) {
-	if pt.dedup != nil && pt.dedup.ContainsID(t) {
-		return
-	}
-	if *n < len(out) {
-		out[*n] = t
-		*n = *n + 1
-	} else {
-		pt.pending = append(pt.pending, t)
-	}
-}
-
-// fillUnbound advances a full-scan part: SPO shards [shard, shardHi), lead
-// keys snapshotted per shard, each lead's whole entry enumerated in one
-// lock hold (overflow spills into pending).
-func (pt *ScanPart) fillUnbound(out []IDTriple, n int) int {
-	for pt.shard < pt.shardHi && n < len(out) {
+	for pt.shard < numShards && n < len(out) {
 		sh := &pt.owner.spo[pt.shard]
 		sh.mu.RLock()
 		if !pt.haveLeads {
-			pt.leads = pt.leads[:0]
-			for k := range sh.m {
-				//ontolint:ignore maporder ScanPart enumeration order is documented unspecified; sorted forms sort after materializing
-				pt.leads = append(pt.leads, k)
-			}
 			pt.haveLeads = true
-			pt.leadPos = 0
+			for k, e := range sh.m {
+				//ontolint:ignore maporder ScanPart enumeration order is documented unspecified; sorted forms sort after materializing
+				pt.leads = append(pt.leads, leadRef{k, e})
+			}
 		}
 		for pt.leadPos < len(pt.leads) && n < len(out) {
-			lead := pt.leads[pt.leadPos]
-			if e := sh.m[lead]; e != nil {
-				e.forEach(func(mid uint32, trail *idSet) bool {
-					trail.forEach(func(c uint32) bool {
-						pt.emit(IDTriple{S: lead, P: mid, O: c}, out, &n)
-						return true
-					})
-					return true
-				})
+			ref := pt.leads[pt.leadPos]
+			var finished bool
+			if n, finished = pt.fillEntry(out, n, ref.lead, ref.e); !finished {
+				break
 			}
 			pt.leadPos++
+			pt.midPos, pt.trailPos = 0, 0
 		}
 		finished := pt.leadPos >= len(pt.leads)
 		sh.mu.RUnlock()
 		if finished {
 			pt.shard++
+			pt.leadPos = 0
 			pt.haveLeads = false
+			clear(pt.leads) // drop the entry pointers before reusing the buffer
+			pt.leads = pt.leads[:0]
 		}
 	}
-	if pt.shard >= pt.shardHi {
+	if pt.shard >= numShards {
 		pt.done = true
 	}
 	return n
 }
 
-// family returns the owner's index family the part walks.
-func (pt *ScanPart) family() *indexFamily {
+// fillEntry writes lead's (mid, trail) pairs from the cursor's position on,
+// reporting whether the entry is finished (false means out filled first).
+// Callers hold the entry's shard read-lock.
+func (pt *ScanPart) fillEntry(out []IDTriple, n int, lead uint32, e *leadEntry) (int, bool) {
+	for pt.midPos < len(e.entries) {
+		mt := &e.entries[pt.midPos]
+		if pt.shape == shapeLeadTrail {
+			if n == len(out) {
+				return n, false
+			}
+			if mt.trail.contains(pt.trail) {
+				out[n] = tripleOf(pt.fam, lead, mt.mid, pt.trail)
+				n++
+			}
+			pt.midPos++
+			continue
+		}
+		n = pt.fillElems(out, n, lead, mt.mid, mt.trail.elems)
+		if pt.trailPos < len(mt.trail.elems) {
+			return n, false
+		}
+		pt.midPos++
+		pt.trailPos = 0
+	}
+	return n, true
+}
+
+// fillElems writes one triple per trailing element from trailPos on, until
+// out is full: a direct loop over the element slice with the family dispatch
+// hoisted out of it, because this is where every scan spends its time.
+func (pt *ScanPart) fillElems(out []IDTriple, n int, lead, mid uint32, elems []uint32) int {
+	i := min(pt.trailPos, len(elems))
+	k := min(len(elems)-i, len(out)-n)
+	src, dst := elems[i:i+k], out[n:n+k]
 	switch pt.fam {
 	case famPOS:
-		return &pt.owner.pos
+		for j, v := range src {
+			dst[j] = IDTriple{S: v, P: lead, O: mid}
+		}
 	case famOSP:
-		return &pt.owner.osp
+		for j, v := range src {
+			dst[j] = IDTriple{S: mid, P: v, O: lead}
+		}
 	default:
-		return &pt.owner.spo
+		for j, v := range src {
+			dst[j] = IDTriple{S: lead, P: mid, O: v}
+		}
+	}
+	pt.trailPos = i + k
+	return n + k
+}
+
+// family returns the store's index family fam.
+func (s *Store) family(fam uint8) *indexFamily {
+	switch fam {
+	case famPOS:
+		return &s.pos
+	case famOSP:
+		return &s.osp
+	default:
+		return &s.spo
 	}
 }
 
-// fillLead advances a single-lead part: the lead entry is re-looked-up under
-// a fresh read-lock each refill (it may have mutated in between; positions
-// are re-clamped, which keeps the cursor crash-free under concurrent writes
-// at the documented may-miss-may-duplicate consistency).
-func (pt *ScanPart) fillLead(out []IDTriple, n int) int {
-	sh := pt.family().shard(pt.lead)
+// fillLead advances a cursor with a bound lead. The lead entry is looked up
+// afresh under each refill's read-lock, since it may have mutated in between.
+func (pt *ScanPart) fillLead(out []IDTriple) int {
+	sh := pt.owner.family(pt.fam).shard(pt.lead)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e := sh.m[pt.lead]
 	if e == nil {
 		pt.done = true
-		return n
+		return 0
 	}
-	switch {
-	case pt.allBound:
+	n := 0
+	switch pt.shape {
+	case shapePoint:
 		if set := e.find(pt.mid); set != nil && set.contains(pt.trail) {
-			pt.emit(tripleOf(pt.fam, pt.lead, pt.mid, pt.trail), out, &n)
+			out[0] = tripleOf(pt.fam, pt.lead, pt.mid, pt.trail)
+			n = 1
 		}
 		pt.done = true
-	case pt.midBound:
+	case shapeLeadMid:
 		set := e.find(pt.mid)
 		if set == nil {
 			pt.done = true
-			return n
+			return 0
 		}
-		// The hot leaf shape (two bound components, e.g. every
-		// {?x type class} scan): fill straight from the element slice,
-		// resuming by position, with the family dispatch hoisted out of
-		// the loop. Stopping at the batch boundary (rather than spilling
-		// the rest) keeps both the lock hold and the cursor's memory
-		// bounded however large the posting list is.
-		elems := set.elems
-		if pt.trailPos > len(elems) {
-			pt.trailPos = len(elems)
-		}
-		lead, mid := pt.lead, pt.mid
-		if pt.dedup == nil {
-			switch pt.fam {
-			case famPOS:
-				for pt.trailPos < len(elems) && n < len(out) {
-					out[n] = IDTriple{S: elems[pt.trailPos], P: lead, O: mid}
-					n++
-					pt.trailPos++
-				}
-			case famOSP:
-				for pt.trailPos < len(elems) && n < len(out) {
-					out[n] = IDTriple{S: mid, P: elems[pt.trailPos], O: lead}
-					n++
-					pt.trailPos++
-				}
-			default:
-				for pt.trailPos < len(elems) && n < len(out) {
-					out[n] = IDTriple{S: lead, P: mid, O: elems[pt.trailPos]}
-					n++
-					pt.trailPos++
-				}
-			}
-		} else {
-			for pt.trailPos < len(elems) && n < len(out) {
-				t := tripleOf(pt.fam, lead, mid, elems[pt.trailPos])
-				pt.trailPos++
-				//ontolint:ignore lockcheck dedup is the view's base store, not pt.owner; its shard locks are distinct so the probe cannot self-deadlock
-				if !pt.dedup.ContainsID(t) {
-					out[n] = t
-					n++
-				}
-			}
-		}
-		if pt.trailPos >= len(elems) {
-			pt.done = true
-		}
+		n = pt.fillElems(out, 0, pt.lead, pt.mid, set.elems)
+		pt.done = pt.trailPos >= len(set.elems)
 	default:
-		hi := len(e.entries)
-		if pt.midHi >= 0 && pt.midHi < hi {
-			hi = pt.midHi
-		}
-		if pt.midPos < pt.midLo {
-			pt.midPos = pt.midLo
-		}
-		for pt.midPos < hi && n < len(out) {
-			mt := &e.entries[pt.midPos]
-			if pt.trailBound {
-				if mt.trail.contains(pt.trail) {
-					t := tripleOf(pt.fam, pt.lead, mt.mid, pt.trail)
-					//ontolint:ignore lockcheck dedup is the view's base store, not pt.owner; its shard locks are distinct so the probe cannot self-deadlock
-					if pt.dedup == nil || !pt.dedup.ContainsID(t) {
-						out[n] = t
-						n++
-					}
-				}
-				pt.midPos++
-				continue
-			}
-			// Resume within the current entry's element slice, exactly as
-			// the midBound fast path does, so one huge trailing set never
-			// spills past the batch boundary.
-			elems := mt.trail.elems
-			if pt.trailPos > len(elems) {
-				pt.trailPos = len(elems)
-			}
-			for pt.trailPos < len(elems) && n < len(out) {
-				t := tripleOf(pt.fam, pt.lead, mt.mid, elems[pt.trailPos])
-				pt.trailPos++
-				//ontolint:ignore lockcheck dedup is the view's base store, not pt.owner; its shard locks are distinct so the probe cannot self-deadlock
-				if pt.dedup == nil || !pt.dedup.ContainsID(t) {
-					out[n] = t
-					n++
-				}
-			}
-			if pt.trailPos >= len(elems) {
-				pt.midPos++
-				pt.trailPos = 0
-			}
-		}
-		if pt.midPos >= hi {
-			pt.done = true
-		}
+		n, pt.done = pt.fillEntry(out, 0, pt.lead, e)
 	}
 	return n
 }
 
-// minMidsPerPart is the smallest entry range worth a part of its own: below
-// it the per-part cursor overhead outweighs any parallelism.
-const minMidsPerPart = 16
-
-// partPool recycles ScanPart cursors (with their lead snapshots and spill
-// buffers) so steady-state scans allocate nothing per part.
+// partPool recycles ScanPart cursors (with their lead snapshot buffers) so
+// steady-state scans allocate nothing per cursor.
 var partPool = sync.Pool{New: func() any { return new(ScanPart) }}
 
-// takePart draws a zeroed cursor with its buffers kept.
-func takePart() *ScanPart {
-	pt := partPool.Get().(*ScanPart)
-	leads, pending := pt.leads[:0], pt.pending[:0]
-	*pt = ScanPart{leads: leads, pending: pending}
-	return pt
-}
-
-// maxPooledPartBuf bounds the snapshot/spill buffers a released cursor may
-// park in the pool, so one scan over a pathological shard does not pin its
-// peak footprint forever.
-const maxPooledPartBuf = 1 << 15
+// maxPooledLeads bounds the lead snapshot a released cursor may park in the
+// pool, so one scan over a pathological shard does not pin its peak
+// footprint forever.
+const maxPooledLeads = 1 << 15
 
 // Release returns an exhausted or abandoned cursor to the pool; the caller
-// must not touch it afterwards. Releasing is optional — an unreleased part
+// must not touch it afterwards. Releasing is optional — an unreleased cursor
 // is garbage-collected like anything else — but the batched evaluator
-// releases every part it drains so scan-heavy serving reuses the cursors'
-// snapshot and spill buffers instead of reallocating them per query.
-// Oversized buffers are dropped rather than pooled.
+// releases every cursor it drains so scan-heavy serving reuses their
+// snapshot buffers instead of reallocating them per query.
 func (pt *ScanPart) Release() {
-	if cap(pt.leads) > maxPooledPartBuf {
-		pt.leads = nil
+	leads := pt.leads
+	clear(leads)
+	if cap(leads) > maxPooledLeads {
+		leads = nil
 	}
-	if cap(pt.pending) > maxPooledPartBuf {
-		pt.pending = nil
-	}
+	*pt = ScanPart{leads: leads[:0]}
 	partPool.Put(pt)
 }
 
-// ScanIDBatch returns a single resumable cursor over every triple matching
-// the id pattern — the batched twin of QueryIDFunc. Drain it with NextBatch;
-// each refill costs one shard lock round trip however many triples it moves.
-func (s *Store) ScanIDBatch(p IDPattern) *ScanPart {
-	return s.ScanParts(p, 1)[0]
-}
-
-// ScanParts splits the pattern's matching triples into at most max parts that
-// can be drained concurrently (see ScanPart); the parts jointly cover exactly
-// the pattern's matches and pairwise overlap nothing. A fully unbound pattern
-// splits by SPO shard; a pattern with one bound component splits its lead
-// entry's middle range; more tightly bound patterns are a single point lookup
-// and come back as one part. Fewer than max parts (often just one) are
-// returned when the matches are too few to be worth splitting.
-func (s *Store) ScanParts(p IDPattern, max int) []*ScanPart {
-	if max < 1 {
-		max = 1
-	}
-	point := func(fam uint8, lead, mid, trail uint32, allBound bool) []*ScanPart {
-		pt := takePart()
-		pt.owner, pt.fam, pt.lead, pt.mid, pt.trail = s, fam, lead, mid, trail
-		pt.allBound, pt.midBound, pt.midHi = allBound, !allBound, -1
-		return []*ScanPart{pt}
-	}
+// openScan draws a pooled cursor over the pattern's matches, picking the
+// permutation family by the pattern's bound components: a bound subject
+// leads in SPO, else a bound predicate in POS, else a bound object in OSP.
+func (s *Store) openScan(p IDPattern) *ScanPart {
+	pt := partPool.Get().(*ScanPart)
+	pt.owner = s
 	switch {
 	case p.BoundS && p.BoundP && p.BoundO:
-		return point(famSPO, p.S, p.P, p.O, true)
+		pt.fam, pt.shape, pt.lead, pt.mid, pt.trail = famSPO, shapePoint, p.S, p.P, p.O
 	case p.BoundS && p.BoundP:
-		return point(famSPO, p.S, p.P, 0, false)
+		pt.fam, pt.shape, pt.lead, pt.mid = famSPO, shapeLeadMid, p.S, p.P
 	case p.BoundP && p.BoundO:
-		return point(famPOS, p.P, p.O, 0, false)
+		pt.fam, pt.shape, pt.lead, pt.mid = famPOS, shapeLeadMid, p.P, p.O
 	case p.BoundS && p.BoundO:
-		return s.leadParts(famSPO, p.S, true, p.O, max)
+		pt.fam, pt.shape, pt.lead, pt.trail = famSPO, shapeLeadTrail, p.S, p.O
 	case p.BoundS:
-		return s.leadParts(famSPO, p.S, false, 0, max)
+		pt.fam, pt.shape, pt.lead = famSPO, shapeLead, p.S
 	case p.BoundP:
-		return s.leadParts(famPOS, p.P, false, 0, max)
+		pt.fam, pt.shape, pt.lead = famPOS, shapeLead, p.P
 	case p.BoundO:
-		return s.leadParts(famOSP, p.O, false, 0, max)
+		pt.fam, pt.shape, pt.lead = famOSP, shapeLead, p.O
 	default:
-		groups := max
-		if groups > numShards {
-			groups = numShards
-		}
-		parts := make([]*ScanPart, 0, groups)
-		for g := 0; g < groups; g++ {
-			pt := takePart()
-			pt.owner, pt.unbound, pt.midHi = s, true, -1
-			pt.shard = g * numShards / groups
-			pt.shardHi = (g + 1) * numShards / groups
-			parts = append(parts, pt)
-		}
-		return parts
+		pt.fam, pt.shape = famSPO, shapeAll
 	}
+	return pt
 }
 
-// leadParts builds the parts of a single-lead scan, splitting the lead
-// entry's middle range when it is wide enough.
-func (s *Store) leadParts(fam uint8, lead uint32, trailBound bool, trail uint32, max int) []*ScanPart {
-	part := func(lo, hi int) *ScanPart {
-		pt := takePart()
-		pt.owner, pt.fam, pt.lead, pt.trailBound, pt.trail = s, fam, lead, trailBound, trail
-		pt.midLo, pt.midPos, pt.midHi = lo, lo, hi
-		return pt
-	}
-	if max == 1 {
-		return []*ScanPart{part(0, -1)}
-	}
-	var fams *indexFamily
-	switch fam {
-	case famPOS:
-		fams = &s.pos
-	case famOSP:
-		fams = &s.osp
-	default:
-		fams = &s.spo
-	}
-	sh := fams.shard(lead)
-	sh.mu.RLock()
-	width := 0
-	if e := sh.m[lead]; e != nil {
-		width = len(e.entries)
-	}
-	sh.mu.RUnlock()
-	parts := max
-	if w := width / minMidsPerPart; parts > w {
-		parts = w
-	}
-	if parts <= 1 {
-		return []*ScanPart{part(0, -1)}
-	}
-	out := make([]*ScanPart, 0, parts)
-	for g := 0; g < parts; g++ {
-		lo := g * width / parts
-		hi := (g + 1) * width / parts
-		if g == parts-1 {
-			hi = -1 // the last part stays open-ended, like the single-part form
-		}
-		out = append(out, part(lo, hi))
-	}
-	return out
+// ScanParts returns the cursors that together cover the pattern's matches:
+// for a Store exactly one. The max argument is unused; it remains so callers
+// written against the View's two-cursor form need no change.
+func (s *Store) ScanParts(p IDPattern, max int) []*ScanPart {
+	return []*ScanPart{s.openScan(p)}
 }
 
-// ScanParts is the View form of Store.ScanParts: the base's parts followed by
-// the overlay's, with overlay parts suppressing triples also present in the
-// base (so each union triple is reported exactly once) unless the view was
-// built with the disjointness promise, in which case the per-triple probe is
-// skipped.
+// ScanParts is the View form of Store.ScanParts: a cursor over the base's
+// matches followed by one over the overlay's. Under the view's disjointness
+// contract (see NewView) the two cover each union triple exactly once. The
+// max argument is unused, as for Store.ScanParts.
 func (v *View) ScanParts(p IDPattern, max int) []*ScanPart {
-	parts := v.base.ScanParts(p, max)
-	over := v.overlay.ScanParts(p, max)
-	if !v.disjoint {
-		for _, pt := range over {
-			pt.dedup = v.base
+	return []*ScanPart{v.base.openScan(p), v.overlay.openScan(p)}
+}
+
+// drainBatch is drain's refill size: large enough that the per-refill lock
+// and entry lookup vanish per triple.
+const drainBatch = 1024
+
+// drainPool recycles drain's refill buffer: handing it to a callback would
+// otherwise move it to the heap on every call.
+var drainPool = sync.Pool{New: func() any { return new([drainBatch]IDTriple) }}
+
+// drain hands the cursors' triples to yield one refill at a time, in order,
+// stopping early when yield returns false, and releases every cursor. yield
+// runs outside any shard lock; its slice is valid only until it returns.
+func drain(parts []*ScanPart, yield func([]IDTriple) bool) {
+	buf := drainPool.Get().(*[drainBatch]IDTriple)
+	defer drainPool.Put(buf)
+	stopped := false
+	for _, pt := range parts {
+		for !stopped {
+			n, done := pt.NextBatch(buf[:])
+			stopped = n > 0 && !yield(buf[:n])
+			if done {
+				break
+			}
 		}
+		pt.Release()
 	}
-	return append(parts, over...)
 }
 
 // orderPool recycles the probe-ordering scratch QueryIDBatch uses for its
@@ -489,9 +358,8 @@ const batchOrderSize = 1024
 // shape (the same Bound flags — the form a batched join produces, where every
 // probe of a batch binds the same components); the batch is grouped by index
 // shard and each shard is locked once for all its probes, instead of once per
-// probe as repeated QueryIDFunc calls would. Matches arrive grouped by shard,
-// not in pattern order. yield runs under a shard read-lock and must not write
-// to the store.
+// probe. Matches arrive grouped by shard, not in pattern order. yield runs
+// under a shard read-lock and must not write to the store.
 func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
 	if len(ps) == 0 {
 		return
@@ -502,12 +370,13 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 		// to one full scan per pattern.
 		for i := range ps {
 			stopped := false
-			s.QueryIDFunc(ps[i], func(t IDTriple) bool {
-				if !yield(i, t) {
-					stopped = true
-					return false
+			drain(s.ScanParts(ps[i], 1), func(ts []IDTriple) bool {
+				for _, t := range ts {
+					if stopped = !yield(i, t); stopped {
+						break
+					}
 				}
-				return true
+				return !stopped
 			})
 			if stopped {
 				return
@@ -517,29 +386,26 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 	}
 	// The two most common join shapes — (S P ?) answering objects and
 	// (? P O) answering subjects, the forms a join's bound lead plus one
-	// more bound component produces — run fully specialized loops: lead
-	// extraction, shard grouping, map lookup, entry find and element walk
-	// are all inlined with no per-probe dispatch, because this is the
-	// innermost loop of every batched join. Everything else goes through
-	// the general per-probe dispatch.
+	// more bound component produces — run fully specialized loops: map
+	// lookup, entry find and element walk are all inlined with no per-probe
+	// dispatch, because this is the innermost loop of every batched join.
+	// Everything else goes through the general per-probe dispatch.
 	switch {
 	case shape.BoundS && shape.BoundP && !shape.BoundO:
 		s.batchProbeSP(ps, yield)
 	case shape.BoundP && shape.BoundO && !shape.BoundS:
 		s.batchProbePO(ps, yield)
 	default:
-		var fams *indexFamily
-		var leadOf func(IDPattern) uint32
+		fam := uint8(famOSP)
 		switch {
 		case shape.BoundS:
-			fams, leadOf = &s.spo, func(p IDPattern) uint32 { return p.S }
+			fam = famSPO
 		case shape.BoundP:
-			fams, leadOf = &s.pos, func(p IDPattern) uint32 { return p.P }
-		default:
-			fams, leadOf = &s.osp, func(p IDPattern) uint32 { return p.O }
+			fam = famPOS
 		}
-		order, counts, release := groupByShard(ps, leadOf)
-		defer release()
+		order, counts, pooled := groupByShard(ps, fam)
+		defer putOrder(pooled)
+		fams := s.family(fam)
 		for shIdx := 0; shIdx < numShards; shIdx++ {
 			lo, hi := counts[shIdx], counts[shIdx+1]
 			if lo == hi {
@@ -559,56 +425,42 @@ func (s *Store) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool
 }
 
 // groupByShard counting-sorts the probe indexes by the shard of their lead
-// component: one pass to size the buckets, one to place, so each shard is
-// visited exactly once. The scratch comes from a pool; call release when
-// done with the order slice.
-func groupByShard(ps []IDPattern, leadOf func(IDPattern) uint32) (order []int32, counts [numShards + 1]int32, release func()) {
+// component in the family: one pass to size the buckets, one to place, so
+// each shard is visited exactly once. The scratch comes from a pool; hand
+// pooled to putOrder when done with the order slice.
+func groupByShard(ps []IDPattern, fam uint8) (order []int32, counts [numShards + 1]int32, pooled *[batchOrderSize]int32) {
 	for i := range ps {
-		counts[shardOf(leadOf(ps[i]))+1]++
+		counts[shardOf(leadOf(ps[i], fam))+1]++
 	}
 	for i := 0; i < numShards; i++ {
 		counts[i+1] += counts[i]
 	}
-	release = func() {}
 	if len(ps) <= batchOrderSize {
-		pooled := orderPool.Get().(*[batchOrderSize]int32)
-		release = func() { orderPool.Put(pooled) }
+		pooled = orderPool.Get().(*[batchOrderSize]int32)
 		order = pooled[:len(ps)]
 	} else {
 		order = make([]int32, len(ps))
 	}
 	var next [numShards]int32
 	for i := range ps {
-		sh := shardOf(leadOf(ps[i]))
+		sh := shardOf(leadOf(ps[i], fam))
 		order[counts[sh]+next[sh]] = int32(i)
 		next[sh]++
 	}
-	return order, counts, release
+	return order, counts, pooled
+}
+
+// putOrder returns groupByShard's pooled scratch, if it drew one.
+func putOrder(pooled *[batchOrderSize]int32) {
+	if pooled != nil {
+		orderPool.Put(pooled)
+	}
 }
 
 // batchProbeSP answers a batch of (S P ?) probes: SPO family, objects out.
 func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
-	var counts [numShards + 1]int32
-	for i := range ps {
-		counts[shardOf(ps[i].S)+1]++
-	}
-	for i := 0; i < numShards; i++ {
-		counts[i+1] += counts[i]
-	}
-	var order []int32
-	if len(ps) <= batchOrderSize {
-		pooled := orderPool.Get().(*[batchOrderSize]int32)
-		defer orderPool.Put(pooled)
-		order = pooled[:len(ps)]
-	} else {
-		order = make([]int32, len(ps))
-	}
-	var next [numShards]int32
-	for i := range ps {
-		sh := shardOf(ps[i].S)
-		order[counts[sh]+next[sh]] = int32(i)
-		next[sh]++
-	}
+	order, counts, pooled := groupByShard(ps, famSPO)
+	defer putOrder(pooled)
 	for shIdx := 0; shIdx < numShards; shIdx++ {
 		lo, hi := counts[shIdx], counts[shIdx+1]
 		if lo == hi {
@@ -639,27 +491,8 @@ func (s *Store) batchProbeSP(ps []IDPattern, yield func(pi int, t IDTriple) bool
 
 // batchProbePO answers a batch of (? P O) probes: POS family, subjects out.
 func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
-	var counts [numShards + 1]int32
-	for i := range ps {
-		counts[shardOf(ps[i].P)+1]++
-	}
-	for i := 0; i < numShards; i++ {
-		counts[i+1] += counts[i]
-	}
-	var order []int32
-	if len(ps) <= batchOrderSize {
-		pooled := orderPool.Get().(*[batchOrderSize]int32)
-		defer orderPool.Put(pooled)
-		order = pooled[:len(ps)]
-	} else {
-		order = make([]int32, len(ps))
-	}
-	var next [numShards]int32
-	for i := range ps {
-		sh := shardOf(ps[i].P)
-		order[counts[sh]+next[sh]] = int32(i)
-		next[sh]++
-	}
+	order, counts, pooled := groupByShard(ps, famPOS)
+	defer putOrder(pooled)
 	for shIdx := 0; shIdx < numShards; shIdx++ {
 		lo, hi := counts[shIdx], counts[shIdx+1]
 		if lo == hi {
@@ -690,7 +523,7 @@ func (s *Store) batchProbePO(ps []IDPattern, yield func(pi int, t IDTriple) bool
 
 // probeShardLocked answers one probe from its (already read-locked) shard,
 // reporting false when yield stopped the enumeration. The branch structure
-// mirrors QueryIDFunc's family dispatch, minus the locking; trailing sets
+// mirrors openScan's family dispatch, minus the locking; trailing sets
 // are walked with explicit loops over the adaptive representation rather
 // than forEach closures — this is the innermost loop of every batched join,
 // and a closure per probe is exactly the per-binding cost batching exists
@@ -775,25 +608,15 @@ func emitSet(set *idSet, pi int, yield func(int, IDTriple) bool, fam uint8, lead
 }
 
 // QueryIDBatch is the View form of Store.QueryIDBatch: each probe answers
-// from the base, then from the overlay with base-shadowed triples suppressed
-// (skipped entirely under the disjoint view's promise). The same same-shape
-// and no-writes-from-yield rules apply.
+// from the base, then from the overlay. The same same-shape and
+// no-writes-from-yield rules apply.
 func (v *View) QueryIDBatch(ps []IDPattern, yield func(pi int, t IDTriple) bool) {
 	stopped := false
 	v.base.QueryIDBatch(ps, func(pi int, t IDTriple) bool {
-		if !yield(pi, t) {
-			stopped = true
-			return false
-		}
-		return true
+		stopped = !yield(pi, t)
+		return !stopped
 	})
-	if stopped {
-		return
+	if !stopped {
+		v.overlay.QueryIDBatch(ps, yield)
 	}
-	v.overlay.QueryIDBatch(ps, func(pi int, t IDTriple) bool {
-		if !v.disjoint && v.base.ContainsID(t) {
-			return true
-		}
-		return yield(pi, t)
-	})
 }

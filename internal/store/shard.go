@@ -118,26 +118,6 @@ func (s *idSet) len() int {
 	return len(s.elems)
 }
 
-// appendResolved appends every id's resolved name to out. It is the
-// materializing twin of forEach, kept here so the set layout is walked in
-// one place only.
-func (s *idSet) appendResolved(res resolver, out []string) []string {
-	for _, v := range s.elems {
-		out = append(out, res.name(v))
-	}
-	return out
-}
-
-// forEach streams the set, reporting false when fn stopped the enumeration.
-func (s *idSet) forEach(fn func(uint32) bool) bool {
-	for _, v := range s.elems {
-		if !fn(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // midTrail couples one middle component with its trailing set.
 type midTrail struct {
 	mid   uint32
@@ -221,15 +201,14 @@ func (e *leadEntry) removeMid(mid uint32) {
 	}
 }
 
-// forEach streams every (mid, trailing-set) pair, reporting false when fn
-// stopped the enumeration.
-func (e *leadEntry) forEach(fn func(mid uint32, trail *idSet) bool) bool {
+// size returns the number of triples indexed under the entry: the total
+// length of its trailing sets.
+func (e *leadEntry) size() int {
+	n := 0
 	for i := range e.entries {
-		if !fn(e.entries[i].mid, &e.entries[i].trail) {
-			return false
-		}
+		n += len(e.entries[i].trail.elems)
 	}
-	return true
+	return n
 }
 
 // shard is one lock-protected slice of a permutation index, mapping leading

@@ -12,19 +12,22 @@
 // component, and each shard has its own RWMutex, so concurrent writers only
 // contend when they touch the same shard. Ingest has a batch path (AddBatch)
 // that interns the whole batch under one symbol-table lock and visits every
-// index shard at most once, and reads have an allocation-free iterator form
-// (QueryFunc, ForEachSubject) alongside the materializing Query.
+// index shard at most once. Reads have three primitives: the resumable scan
+// cursor (ScanParts), the shard-grouped batch probe (QueryIDBatch) and the
+// index statistics (StatsID); the string-level reads (Query, QueryFunc,
+// Triples, Count) are thin wrappers over them. ForEachSubject and Subjects,
+// the materialized class-retrieval hot path, read their POS set directly.
 //
-// Ordering: every materializing read (Query, Triples, Subjects, Objects,
-// Predicates) returns its result in sorted lexicographic order, so results
-// depend only on the store's contents — never on ingest order or on how ids
-// happened to fall across shards. The streaming forms (QueryFunc,
-// QueryIDFunc, ForEachSubject) trade that determinism for zero allocation
-// and enumerate in unspecified order.
+// Ordering: every materializing read (Query, Triples, Subjects) returns its
+// result in sorted lexicographic order, so results depend only on the
+// store's contents — never on ingest order or on how ids happened to fall
+// across shards. The streaming forms (QueryFunc, ForEachSubject and the
+// cursors) trade that determinism for zero allocation per triple and
+// enumerate in unspecified order.
 //
 // Joins, variables and ontology-aware expansion live one layer up, in
 // package repro/internal/query, which evaluates basic graph patterns over
-// the id-level hooks in ids.go.
+// the id-level hooks in ids.go and scan.go.
 //
 // Consistency: all methods are safe for concurrent use. Single-triple writes
 // (Add, Remove) lock all three affected shards together, so a triple is never
@@ -217,9 +220,7 @@ func (s *Store) ShardTripleCount(i int) int {
 	defer sh.mu.RUnlock()
 	n := 0
 	for _, e := range sh.m {
-		for j := range e.entries {
-			n += e.entries[j].trail.len()
-		}
+		n += e.size()
 	}
 	return n
 }
@@ -237,39 +238,53 @@ func (s *Store) Contains(t Triple) bool {
 }
 
 // QueryFunc streams every triple matching the pattern to yield, stopping
-// early when yield returns false. It answers from the most selective
-// permutation index for the pattern's bound components and allocates nothing
-// per triple; the enumeration order is unspecified (use Query for the
-// deterministic sorted form). yield must not call methods that write to the
-// store, or it may deadlock against writers waiting on the shard being
-// iterated.
+// early when yield returns false. It drains the pattern's scan cursor (see
+// ScanParts), which reads the most selective permutation index for the
+// pattern's bound components; the enumeration order is unspecified (use
+// Query for the deterministic sorted form). yield runs outside the store's
+// locks.
 func (s *Store) QueryFunc(p Pattern, yield func(Triple) bool) {
-	ip, ok := s.encodePattern(p)
-	if !ok {
-		return
+	if ip, ok := s.encodePattern(p); ok {
+		eachTriple(s.syms, s.ScanParts(ip, 1), yield)
 	}
-	res := newResolver(s.syms)
-	s.QueryIDFunc(ip, func(t IDTriple) bool {
-		return yield(Triple{res.name(t.S), res.name(t.P), res.name(t.O)})
+}
+
+// eachTriple drains the cursors, resolving each triple to its names.
+func eachTriple(syms *symtab, parts []*ScanPart, yield func(Triple) bool) {
+	res := newResolver(syms)
+	drain(parts, func(ts []IDTriple) bool {
+		for _, t := range ts {
+			if !yield(Triple{res.name(t.S), res.name(t.P), res.name(t.O)}) {
+				return false
+			}
+		}
+		return true
 	})
+}
+
+// sortedTriples drains the cursors, appending to out, and sorts the result
+// by subject, then predicate, then object.
+func sortedTriples(syms *symtab, parts []*ScanPart, out []Triple) []Triple {
+	eachTriple(syms, parts, func(t Triple) bool {
+		out = append(out, t)
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	return out
 }
 
 // Query returns all triples matching the pattern, sorted lexicographically by
 // subject, then predicate, then object. That ordering is a contract: two
 // stores holding the same triples return identical slices for the same
 // pattern, whatever order the triples were ingested in and however they fell
-// across shards. The most selective permutation index available for the
-// pattern's bound components is used, so fully or partially bound queries
-// never scan the whole store. Use QueryFunc to stream matches without
-// materializing and sorting the result.
+// across shards. Use QueryFunc to stream matches without materializing and
+// sorting the result.
 func (s *Store) Query(p Pattern) []Triple {
-	var out []Triple
-	s.QueryFunc(p, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
+	ip, ok := s.encodePattern(p)
+	if !ok {
+		return nil
+	}
+	return sortedTriples(s.syms, s.ScanParts(ip, 1), nil)
 }
 
 // Triples returns every triple in the store, sorted lexicographically by
@@ -277,13 +292,7 @@ func (s *Store) Query(p Pattern) []Triple {
 // Like Query, the result depends only on the store's contents, never on
 // ingest order or shard layout; Snapshot is defined in terms of it.
 func (s *Store) Triples() []Triple {
-	out := make([]Triple, 0, s.Len())
-	s.QueryFunc(Pattern{}, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
+	return sortedTriples(s.syms, s.ScanParts(IDPattern{}, 1), make([]Triple, 0, s.Len()))
 }
 
 // Count returns the number of triples matching the pattern. It runs entirely
@@ -299,34 +308,48 @@ func (s *Store) Count(p Pattern) int {
 	return s.CountID(ip)
 }
 
-// ForEachSubject streams the distinct subjects of triples with the given
-// predicate and object to yield, stopping early when yield returns false.
-// The order is unspecified; allocation per subject is zero. The same
-// no-writes-from-yield rule as QueryFunc applies.
-func (s *Store) ForEachSubject(predicate, object string, yield func(string) bool) {
-	pid, ok := s.syms.lookup(predicate)
-	if !ok {
-		return
-	}
-	oid, ok := s.syms.lookup(object)
-	if !ok {
-		return
-	}
-	res := newResolver(s.syms)
+// subjectIDs looks up the ids of a (? predicate object) pattern; ok is
+// false when either name was never interned (the pattern matches nothing).
+func (s *Store) subjectIDs(predicate, object string) (pid, oid SymbolID, ok bool) {
+	pid, okP := s.syms.lookup(predicate)
+	oid, okO := s.syms.lookup(object)
+	return pid, oid, okP && okO
+}
+
+// eachSubject yields the resolved members of the POS trailing set of
+// (pid, oid), reporting false when yield stopped the enumeration.
+func (s *Store) eachSubject(pid, oid SymbolID, res resolver, yield func(string) bool) bool {
 	sh := s.pos.shard(pid)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e := sh.m[pid]
 	if e == nil {
-		return
+		return true
 	}
 	set := e.find(oid)
 	if set == nil {
-		return
+		return true
 	}
-	set.forEach(func(sid uint32) bool {
-		return yield(res.name(sid))
-	})
+	for _, sid := range set.elems {
+		if !yield(res.name(sid)) {
+			return false
+		}
+	}
+	return true
+}
+
+// ForEachSubject streams the distinct subjects of triples with the given
+// predicate and object to yield, stopping early when yield returns false.
+// The order is unspecified; allocation per subject is zero. It is the one
+// read that walks an index directly instead of draining a scan cursor: it
+// is the materialized class-retrieval hot path, and copying every match
+// into a triple buffer first cost ~30% on
+// BenchmarkMaterializedVsExpandedQuery/materialized. yield runs under a
+// shard read-lock and must not write to the store.
+func (s *Store) ForEachSubject(predicate, object string, yield func(string) bool) {
+	if pid, oid, ok := s.subjectIDs(predicate, object); ok {
+		s.eachSubject(pid, oid, newResolver(s.syms), yield)
+	}
 }
 
 // Subjects returns the distinct subjects of triples with the given predicate
@@ -334,70 +357,11 @@ func (s *Store) ForEachSubject(predicate, object string, yield func(string) bool
 // Query: the result depends only on the store's contents). Use ForEachSubject
 // to stream them without the materialized slice and the sort.
 func (s *Store) Subjects(predicate, object string) []string {
-	pid, ok := s.syms.lookup(predicate)
-	if !ok {
-		return nil
-	}
-	oid, ok := s.syms.lookup(object)
-	if !ok {
-		return nil
-	}
-	res := newResolver(s.syms)
-	sh := s.pos.shard(pid)
-	sh.mu.RLock()
 	var out []string
-	if e := sh.m[pid]; e != nil {
-		if set := e.find(oid); set != nil {
-			out = set.appendResolved(res, make([]string, 0, set.len()))
-		}
-	}
-	sh.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// Objects returns the distinct objects of triples with the given subject and
-// predicate, in sorted order (the same deterministic ordering contract as
-// Query).
-func (s *Store) Objects(subject, predicate string) []string {
-	sid, ok := s.syms.lookup(subject)
-	if !ok {
-		return nil
-	}
-	pid, ok := s.syms.lookup(predicate)
-	if !ok {
-		return nil
-	}
-	res := newResolver(s.syms)
-	sh := s.spo.shard(sid)
-	sh.mu.RLock()
-	var out []string
-	if e := sh.m[sid]; e != nil {
-		if set := e.find(pid); set != nil {
-			set.forEach(func(oid uint32) bool {
-				out = append(out, res.name(oid))
-				return true
-			})
-		}
-	}
-	sh.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// Predicates returns the distinct predicates in the store, in sorted order
-// (the same deterministic ordering contract as Query).
-func (s *Store) Predicates() []string {
-	res := newResolver(s.syms)
-	var out []string
-	for i := range s.pos {
-		sh := &s.pos[i]
-		sh.mu.RLock()
-		for pid := range sh.m {
-			out = append(out, res.name(pid))
-		}
-		sh.mu.RUnlock()
-	}
+	s.ForEachSubject(predicate, object, func(sub string) bool {
+		out = append(out, sub)
+		return true
+	})
 	sort.Strings(out)
 	return out
 }

@@ -120,12 +120,6 @@ func TestAccessors(t *testing.T) {
 	if got := s.Subjects("type", "car"); len(got) != 2 || got[0] != "i1" || got[1] != "i2" {
 		t.Errorf("Subjects = %v, want [i1 i2]", got)
 	}
-	if got := s.Objects("i1", "type"); len(got) != 1 || got[0] != "car" {
-		t.Errorf("Objects = %v, want [car]", got)
-	}
-	if got := s.Predicates(); len(got) != 2 || got[0] != "owner" || got[1] != "type" {
-		t.Errorf("Predicates = %v, want [owner type]", got)
-	}
 	if got := s.Subjects("type", "boat"); len(got) != 0 {
 		t.Errorf("Subjects of an absent class = %v, want empty", got)
 	}
@@ -237,8 +231,7 @@ func TestIndexAgreement(t *testing.T) {
 // TestDeterministicOrderingContract checks the ordering contract of every
 // materializing read: the same triples ingested in different orders (and
 // therefore interned to different ids, falling differently across shards)
-// must produce identical Query, Triples, Subjects, Objects and Predicates
-// results.
+// must produce identical Query, Triples and Subjects results.
 func TestDeterministicOrderingContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	triples := make([]Triple, 0, 500)
@@ -276,22 +269,14 @@ func TestDeterministicOrderingContract(t *testing.T) {
 		if got, want := s.Subjects("p0", "o1"), ref.Subjects("p0", "o1"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: Subjects differ", round)
 		}
-		if got, want := s.Objects("s1", "p0"), ref.Objects("s1", "p0"); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: Objects differ", round)
-		}
-		if got, want := s.Predicates(), ref.Predicates(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: Predicates differ", round)
-		}
-		for _, ss := range [][]string{s.Predicates(), s.Subjects("p0", "o1"), s.Objects("s1", "p0")} {
-			if !sort.StringsAreSorted(ss) {
-				t.Fatalf("round %d: accessor result not sorted: %v", round, ss)
-			}
+		if ss := s.Subjects("p0", "o1"); !sort.StringsAreSorted(ss) {
+			t.Fatalf("round %d: Subjects not sorted: %v", round, ss)
 		}
 	}
 }
 
 // TestIDLevelHooks checks the id-level query surface the join evaluator in
-// internal/query builds on: SymbolID resolution, QueryIDFunc enumeration and
+// internal/query builds on: SymbolID resolution, scan-cursor enumeration and
 // CountID against the string-level equivalents.
 func TestIDLevelHooks(t *testing.T) {
 	s := New()
@@ -324,19 +309,21 @@ func TestIDLevelHooks(t *testing.T) {
 			t.Errorf("CountID(%v) = %d, Count = %d", p, got, want)
 		}
 		var got []Triple
-		s.QueryIDFunc(ip, func(tr IDTriple) bool {
-			got = append(got, Triple{res.Name(tr.S), res.Name(tr.P), res.Name(tr.O)})
+		drain(s.ScanParts(ip, 1), func(ts []IDTriple) bool {
+			for _, tr := range ts {
+				got = append(got, Triple{res.Name(tr.S), res.Name(tr.P), res.Name(tr.O)})
+			}
 			return true
 		})
 		sort.Slice(got, func(i, j int) bool { return got[i].less(got[j]) })
 		if want := s.Query(p); !reflect.DeepEqual(got, want) {
-			t.Errorf("QueryIDFunc(%v) = %v, want %v", p, got, want)
+			t.Errorf("scan of %v = %v, want %v", p, got, want)
 		}
 	}
 	// Early stop.
 	n := 0
-	s.QueryIDFunc(IDPattern{}, func(IDTriple) bool { n++; return false })
+	drain(s.ScanParts(IDPattern{}, 1), func([]IDTriple) bool { n++; return false })
 	if n != 1 {
-		t.Errorf("early-stopped QueryIDFunc yielded %d triples, want 1", n)
+		t.Errorf("early-stopped drain made %d calls, want 1", n)
 	}
 }

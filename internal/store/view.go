@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // This file is the store's materialization surface: shared-dictionary overlay
@@ -146,9 +145,9 @@ func (s *Store) RemoveID(t IDTriple) bool {
 // View is the read-only union of a base store (asserted triples) and an
 // overlay store (inferred triples) sharing one dictionary. It satisfies the
 // query layer's Source interface, so BGPs evaluate over the materialized
-// union exactly as over a single store; every read de-duplicates triples
-// present in both members, so callers see each triple once even if an
-// overlay briefly shadows an asserted triple.
+// union exactly as over a single store. Every read relies on the
+// disjointness contract of NewView: counts are sums of the members' counts,
+// and iterators read the base, then the overlay, with no duplicate probe.
 //
 // A View holds no locks of its own: each probe reads the two stores under
 // their own shard read-locks, so, like Store's iterators, a result set is
@@ -156,18 +155,20 @@ func (s *Store) RemoveID(t IDTriple) bool {
 type View struct {
 	base    *Store
 	overlay *Store
-	// disjoint records the NewDisjointView promise that no triple is in
-	// both members: counts become plain sums and reads skip the per-triple
-	// duplicate probe.
-	disjoint bool
 }
 
 // NewView returns the union view of base and overlay. The two stores must
 // share a dictionary (see NewOverlay); ids from one would be meaningless in
-// the other otherwise. NewView makes no disjointness assumption: every read
-// de-duplicates against the base, and counting scans the overlay's matches.
-// When the caller maintains base∩overlay = ∅, NewDisjointView is the faster
-// form.
+// the other otherwise.
+//
+// Disjointness contract: the caller keeps base∩overlay = ∅ — the invariant
+// package reason maintains (inferred triples are exactly the derivable
+// non-asserted ones). The view does not check it: Len, CountID and StatsID
+// sum the members' own figures, and the iterators skip any per-triple
+// duplicate probe. If the contract is transiently violated (e.g.
+// mid-maintenance, between a base insert and the matching overlay
+// retirement), reads overlapping that window may see the affected triple
+// twice and counts may double-count it; quiescent views are exact.
 func NewView(base, overlay *Store) (*View, error) {
 	if base == nil || overlay == nil {
 		return nil, fmt.Errorf("store: NewView needs both a base and an overlay store")
@@ -178,46 +179,16 @@ func NewView(base, overlay *Store) (*View, error) {
 	return &View{base: base, overlay: overlay}, nil
 }
 
-// NewDisjointView is NewView under the caller's promise that no triple is
-// ever in both members — the invariant package reason maintains (inferred
-// triples are exactly the derivable non-asserted ones). The promise buys the
-// fast paths the union cannot have in general: Len and CountID are O(1)-over
-// the members' own counters instead of overlay scans, and the iterators skip
-// the per-triple duplicate probe. If the promise is transiently violated
-// (e.g. mid-maintenance, between a base insert and the matching overlay
-// retirement), reads overlapping that window may see the affected triple
-// twice and counts may double-count it; quiescent views are exact.
-func NewDisjointView(base, overlay *Store) (*View, error) {
-	v, err := NewView(base, overlay)
-	if err != nil {
-		return nil, err
-	}
-	v.disjoint = true
-	return v, nil
-}
-
 // Base returns the asserted member of the view.
 func (v *View) Base() *Store { return v.base }
 
 // Overlay returns the inferred member of the view.
 func (v *View) Overlay() *Store { return v.overlay }
 
-// Len returns the number of distinct triples visible through the view. For
-// a disjoint view (NewDisjointView) it is the O(1) sum of the members'
-// counters; otherwise triples present in both members are counted once, at
-// the cost of scanning the overlay.
+// Len returns the number of triples visible through the view: the sum of
+// the members' counters.
 func (v *View) Len() int {
-	n := v.base.Len() + v.overlay.Len()
-	if v.disjoint {
-		return n
-	}
-	v.overlay.QueryIDFunc(IDPattern{}, func(t IDTriple) bool {
-		if v.base.ContainsID(t) {
-			n--
-		}
-		return true
-	})
-	return n
+	return v.base.Len() + v.overlay.Len()
 }
 
 // SymbolID returns the dictionary id of a name (the dictionary is shared, so
@@ -249,158 +220,44 @@ func (v *View) Provenance(t Triple) (Provenance, bool) {
 	return ProvAsserted, false
 }
 
-// QueryIDFunc streams every distinct triple of the union matching the id
-// pattern to yield, stopping early when yield returns false: first the base's
-// matches, then the overlay's, skipping overlay triples also present in the
-// base. The enumeration order is unspecified and allocation per triple is
-// zero; the same no-writes-from-yield rule as Store.QueryIDFunc applies.
-func (v *View) QueryIDFunc(p IDPattern, yield func(IDTriple) bool) {
-	stopped := false
-	v.base.QueryIDFunc(p, func(t IDTriple) bool {
-		if !yield(t) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	v.overlay.QueryIDFunc(p, func(t IDTriple) bool {
-		if !v.disjoint && v.base.ContainsID(t) {
-			return true
-		}
-		return yield(t)
-	})
-}
-
-// CountID returns the number of distinct union triples matching the id
-// pattern. Like View.Len it is a plain sum of the members' index counters
-// for a disjoint view — cheap enough for the query planner to call once per
-// pattern per query — and subtracts duplicates by scanning the overlay's
-// matches otherwise.
+// CountID returns the number of union triples matching the id pattern: the
+// sum of the members' counts.
 func (v *View) CountID(p IDPattern) int {
-	n := v.base.CountID(p) + v.overlay.CountID(p)
-	if v.disjoint {
-		return n
-	}
-	v.overlay.QueryIDFunc(p, func(t IDTriple) bool {
-		if v.base.ContainsID(t) {
-			n--
-		}
-		return true
-	})
-	return n
+	return v.base.CountID(p) + v.overlay.CountID(p)
 }
 
 // StatsID returns cardinality statistics for the id pattern over the union.
-// Counts are exact for a disjoint view and subtract overlay duplicates
-// otherwise; the distinct widths are the sums of the two members' widths —
-// an upper bound when a value occurs on both sides — which is accurate
-// enough for the planner's selectivity ordering.
+// Counts are exact; the distinct widths are the sums of the two members'
+// widths — an upper bound when a value occurs on both sides — which is
+// accurate enough for the planner's selectivity ordering.
 func (v *View) StatsID(p IDPattern) IDStats {
 	bs, os := v.base.StatsID(p), v.overlay.StatsID(p)
-	count := bs.Count + os.Count
-	if !v.disjoint {
-		v.overlay.QueryIDFunc(p, func(t IDTriple) bool {
-			if v.base.ContainsID(t) {
-				count--
-			}
-			return true
-		})
-	}
 	return IDStats{
-		Count:     count,
+		Count:     bs.Count + os.Count,
 		DistinctS: bs.DistinctS + os.DistinctS,
 		DistinctP: bs.DistinctP + os.DistinctP,
 		DistinctO: bs.DistinctO + os.DistinctO,
 	}
 }
 
-// QueryFunc streams every distinct union triple matching the string pattern
-// to yield, resolving ids through the shared dictionary.
-func (v *View) QueryFunc(p Pattern, yield func(Triple) bool) {
-	ip, ok := v.base.encodePattern(p)
-	if !ok {
-		return
-	}
-	res := newResolver(v.base.syms)
-	v.QueryIDFunc(ip, func(t IDTriple) bool {
-		return yield(Triple{res.name(t.S), res.name(t.P), res.name(t.O)})
-	})
-}
-
-// Query returns all distinct union triples matching the pattern, sorted
-// lexicographically — the same deterministic ordering contract as
-// Store.Query.
-func (v *View) Query(p Pattern) []Triple {
-	var out []Triple
-	v.QueryFunc(p, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
-}
-
-// Triples returns every distinct triple visible through the view in the
-// store's canonical sorted export order.
+// Triples returns every triple visible through the view in the store's
+// canonical sorted export order.
 func (v *View) Triples() []Triple {
-	out := make([]Triple, 0, v.base.Len()+v.overlay.Len())
-	v.QueryFunc(Pattern{}, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
+	return sortedTriples(v.base.syms, v.ScanParts(IDPattern{}, 1), make([]Triple, 0, v.Len()))
 }
 
-// ForEachSubject streams the distinct subjects of union triples with the
-// given predicate and object, stopping early when yield returns false — the
+// ForEachSubject streams the subjects of union triples with the given
+// predicate and object, stopping early when yield returns false — the
 // materialized-retrieval hot path: one POS set read per member, no join
-// machinery, no per-subject allocation. Subjects present in both members are
-// yielded once.
+// machinery, no per-subject allocation. The order is unspecified; the same
+// no-writes-from-yield rule as Store.ForEachSubject applies.
 func (v *View) ForEachSubject(predicate, object string, yield func(string) bool) {
-	pid, ok := v.base.SymbolID(predicate)
-	if !ok {
-		return
-	}
-	oid, ok := v.base.SymbolID(object)
-	if !ok {
-		return
-	}
-	res := newResolver(v.base.syms)
-	stopped := false
-	v.base.ForEachSubject(predicate, object, func(s string) bool {
-		if !yield(s) {
-			stopped = true
-			return false
+	if pid, oid, ok := v.base.subjectIDs(predicate, object); ok {
+		res := newResolver(v.base.syms)
+		if v.base.eachSubject(pid, oid, res, yield) {
+			v.overlay.eachSubject(pid, oid, res, yield)
 		}
-		return true
-	})
-	if stopped {
-		return
 	}
-	ip := IDPattern{P: pid, O: oid, BoundP: true, BoundO: true}
-	v.overlay.QueryIDFunc(ip, func(t IDTriple) bool {
-		if !v.disjoint && v.base.ContainsID(t) {
-			return true
-		}
-		return yield(res.name(t.S))
-	})
-}
-
-// Subjects returns the distinct subjects of union triples with the given
-// predicate and object, sorted (Store.Subjects' ordering contract, over the
-// union).
-func (v *View) Subjects(predicate, object string) []string {
-	var out []string
-	v.ForEachSubject(predicate, object, func(s string) bool {
-		out = append(out, s)
-		return true
-	})
-	sort.Strings(out)
-	return out
 }
 
 // TaggedTriple is one triple of a materialized view together with its
