@@ -66,6 +66,11 @@ func (a catom) idPattern() store.IDPattern {
 	return p
 }
 
+// hasConstant reports whether any component of the atom is a literal.
+func (a catom) hasConstant() bool {
+	return !a.t[0].isVar || !a.t[1].isVar || !a.t[2].isVar
+}
+
 // bindVars marks the atom's variable slots bound.
 func (a catom) bindVars(bound []bool) {
 	for _, t := range a.t {

@@ -32,6 +32,13 @@ type Stats struct {
 	// Rederived is the number of overdeleted triples that survived — they
 	// had a derivation not involving the removed triples and were put back.
 	Rederived int
+	// Heads is the number of rule heads the fixpoint rounds emitted, before
+	// any were found already asserted or inferred: the attempts Derived
+	// counts the useful outcomes of.
+	Heads int
+	// SkippedTerms is the number of semi-naive terms not evaluated because
+	// another body atom of the rule matched nothing in the view (see terms).
+	SkippedTerms int
 }
 
 // Reasoner owns a materialization: an asserted base store, an overlay of
@@ -73,6 +80,9 @@ type Reasoner struct {
 	// hook would fire, so any two reads bracketing an unchanged generation
 	// saw the same materialization. The replica tier's staleness signal.
 	gen atomic.Uint64
+	// headsEmitted and termsSkipped are Stats.Heads and Stats.SkippedTerms,
+	// kept as atomics so the metrics scrape reads them without r.mu.
+	headsEmitted, termsSkipped atomic.Int64
 	// Metric handles, nil until RegisterMetrics; every observation is
 	// nil-safe, so an unobserved reasoner pays one branch per round.
 	mRounds       *obs.Counter
@@ -104,6 +114,12 @@ func (r *Reasoner) RegisterMetrics(reg *obs.Registry) {
 	})
 	reg.GaugeFunc("onto_reason_generation", "Materialization generation (advances on every content-changing write).", func() float64 {
 		return float64(r.gen.Load())
+	})
+	reg.CounterFunc("onto_reason_heads_total", "Rule heads emitted by fixpoint rounds, before duplicates of materialized triples are dropped.", func() float64 {
+		return float64(r.headsEmitted.Load())
+	})
+	reg.CounterFunc("onto_reason_terms_skipped_total", "Semi-naive terms skipped because another body atom matched nothing.", func() float64 {
+		return float64(r.termsSkipped.Load())
 	})
 	reg.GaugeFunc("onto_reason_materialize_seconds", "Wall time of the last full materialization (Materialize or Rematerialize).", func() float64 {
 		return r.MaterializeDuration().Seconds()
@@ -270,18 +286,20 @@ func materialize(base *store.Store, rules []Rule, chunk int) (*Reasoner, error) 
 // bulkFirstRound runs the naive first round into a sorted accumulator
 // instead of the overlay, returning its conclusions that are not asserted,
 // in strict (S, P, O) order. Heads are buffered at most r.chunk at a time;
-// each full buffer is filtered against the base and appended to the
-// accumulator, which is re-sorted and deduplicated whenever its unsorted
-// tail outgrows its sorted prefix — so the accumulator stays within about
-// twice the round's distinct conclusions however many duplicate heads the
-// round produces, at amortized linear sorting cost.
+// each full buffer is filtered against the view (the overlay is still
+// empty, so against the base) and appended to the accumulator, which is
+// re-sorted and deduplicated whenever its unsorted tail outgrows its sorted
+// prefix — so the accumulator stays within about twice the round's
+// distinct conclusions however many duplicate heads the round produces, at
+// amortized linear sorting cost.
 func (r *Reasoner) bulkFirstRound() []store.IDTriple {
 	start := r.roundStart()
 	var acc []store.IDTriple
 	sorted := 0
 	heads := r.heads[:0]
 	fold := func() {
-		acc = append(acc, r.base.FilterAbsentID(heads)...)
+		r.headsEmitted.Add(int64(len(heads)))
+		acc = append(acc, r.view.FilterAbsentID(heads)...)
 		heads = heads[:0]
 		if len(acc)-sorted > max(sorted, r.chunk) {
 			acc = store.SortIDTriples(acc)
@@ -361,7 +379,10 @@ func (r *Reasoner) InferredCount() int { return r.overlay.Len() }
 func (r *Reasoner) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	st := r.stats
+	st.Heads = int(r.headsEmitted.Load())
+	st.SkippedTerms = int(r.termsSkipped.Load())
+	return st
 }
 
 // Provenance reports whether the triple is asserted, inferred, or absent
@@ -524,15 +545,10 @@ func (r *Reasoner) Remove(t store.Triple) bool {
 	var heads []store.IDTriple
 	for len(delta) > 0 {
 		heads = heads[:0]
-		for i := range r.rules {
-			rule := &r.rules[i]
-			for di := range rule.body {
-				matchDelta(rule, di, delta, r.view, func(h store.IDTriple) bool {
-					heads = append(heads, h)
-					return true
-				})
-			}
-		}
+		r.terms(delta, func(h store.IDTriple) bool {
+			heads = append(heads, h)
+			return true
+		})
 		var next []store.IDTriple
 		for _, h := range heads {
 			if !marked[h] && r.overlay.ContainsID(h) {
@@ -632,30 +648,79 @@ func (r *Reasoner) propagate(delta []store.IDTriple) []store.IDTriple {
 	for len(delta) > 0 {
 		cur := delta
 		delta = r.round(func(emit func(store.IDTriple) bool) {
-			for i := range r.rules {
-				rule := &r.rules[i]
-				for di := range rule.body {
-					matchDelta(rule, di, cur, r.view, emit)
-				}
-			}
+			r.terms(cur, emit)
 		})
 		derived = append(derived, delta...)
 	}
 	return derived
 }
 
+// terms runs the semi-naive terms of delta — for every rule and every body
+// atom di, matchDelta with atom di over the delta and the other atoms
+// probing the view — emitting each instantiated head. It is the one term
+// loop behind propagation's rounds and Remove's overdelete phase. Callers
+// hold r.mu.
+//
+// A term is skipped, without building its pipeline, when some other body
+// atom's constant pattern matches nothing in the view at the term's start
+// (a corpus that never uses subPropertyOf, domain or range makes every
+// term probing those predicates one). The term then has no derivation at
+// that moment; a fact that fills the atom later in the same round is
+// fresh, so it is in the next round's delta, and the term with the delta
+// on that atom covers every derivation using it — the argument that makes
+// propagate's mid-round flushes safe. In the overdelete phase the view
+// does not change at all while terms run.
+func (r *Reasoner) terms(delta []store.IDTriple, emit func(store.IDTriple) bool) {
+	for i := range r.rules {
+		rule := &r.rules[i]
+		for di := range rule.body {
+			if r.otherAtomEmpty(rule, di) {
+				r.termsSkipped.Add(1)
+				continue
+			}
+			matchDelta(rule, di, delta, r.view, emit)
+		}
+	}
+}
+
+// otherAtomEmpty reports whether a body atom other than skip has constants
+// whose pattern matches nothing in the view. Each test is one batched probe
+// stopped at the first match, O(1) for the lead-bound patterns rule atoms
+// have — unlike CountID, which sums a predicate's whole index entry. An
+// atom without constants matches any triple, so it is never empty while a
+// delta is.
+func (r *Reasoner) otherAtomEmpty(rule *crule, skip int) bool {
+	for j, a := range rule.body {
+		if j == skip || !a.hasConstant() {
+			continue
+		}
+		found := false
+		r.view.QueryIDBatch([]store.IDPattern{a.idPattern()}, func(int, store.IDTriple) bool {
+			found = true
+			return false
+		})
+		if !found {
+			return true
+		}
+	}
+	return false
+}
+
 // round runs one fixpoint round: eval enumerates the round's heads, which
 // are buffered at most r.chunk at a time and flushed through one batched
-// path — filtered against the base under one read lock per shard, then
-// inserted into the overlay with AddIDBatch, whose fresh subset (the heads
-// neither asserted nor already inferred) accumulates into the round's
-// result, the next delta. Callers hold r.mu.
+// path — filtered against the view (base and overlay) under read locks
+// only, then inserted into the overlay with AddIDBatch, whose fresh subset
+// (the heads neither asserted nor already inferred, nor repeated within
+// the chunk) accumulates into the round's result, the next delta. A round
+// that only confirms the fixpoint — every head already materialized —
+// never takes an overlay write lock. Callers hold r.mu.
 func (r *Reasoner) round(eval func(emit func(store.IDTriple) bool)) []store.IDTriple {
 	start := r.roundStart()
 	var next []store.IDTriple
 	heads := r.heads[:0]
 	flush := func() {
-		fresh, err := r.overlay.AddIDBatch(r.base.FilterAbsentID(heads))
+		r.headsEmitted.Add(int64(len(heads)))
+		fresh, err := r.overlay.AddIDBatch(r.view.FilterAbsentID(heads))
 		if err != nil {
 			panic(err) // ids came from this dictionary
 		}

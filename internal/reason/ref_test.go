@@ -202,7 +202,8 @@ const refChunk = 2
 //   - Materialize over an empty store followed by AddBatch of the whole
 //     initial set (the batched incremental path), whose overlay must be
 //     identical to the bulk-built one;
-//   - the schedule of Add and Remove operations, checked after every step;
+//   - the schedule of Add, AddBatch and Remove operations, checked after
+//     every step;
 //   - Rematerialize after writes made directly to the base store.
 //
 // It reports how many materializations derived more than one chunk's worth
@@ -230,15 +231,21 @@ func checkReference(t *testing.T, name string, rules []Rule, initial []store.Tri
 			t.Fatalf("%s: overlay %v differs from the default-chunk overlay %v", ctx, got, bulk)
 		}
 		for i, op := range ops {
-			if op.remove {
+			switch {
+			case op.remove:
 				r.Remove(op.t)
 				checkAgainstNaive(t, r, rules, fmt.Sprintf("%s op %d: after Remove(%v)", ctx, i, op.t))
-				continue
+			case op.batch:
+				if _, err := r.AddBatch([]store.Triple{op.t}); err != nil {
+					t.Fatalf("%s op %d: AddBatch(%v): %v", ctx, i, op.t, err)
+				}
+				checkAgainstNaive(t, r, rules, fmt.Sprintf("%s op %d: after AddBatch(%v)", ctx, i, op.t))
+			default:
+				if _, err := r.Add(op.t); err != nil {
+					t.Fatalf("%s op %d: Add(%v): %v", ctx, i, op.t, err)
+				}
+				checkAgainstNaive(t, r, rules, fmt.Sprintf("%s op %d: after Add(%v)", ctx, i, op.t))
 			}
-			if _, err := r.Add(op.t); err != nil {
-				t.Fatalf("%s op %d: Add(%v): %v", ctx, i, op.t, err)
-			}
-			checkAgainstNaive(t, r, rules, fmt.Sprintf("%s op %d: after Add(%v)", ctx, i, op.t))
 		}
 		for i, tr := range direct {
 			if i%2 == 0 {
@@ -265,10 +272,69 @@ func checkReference(t *testing.T, name string, rules []Rule, initial []store.Tri
 	return multiChunk
 }
 
-// refOp is one scheduled reasoner write: Add the triple, or Remove it.
+// refOp is one scheduled reasoner write: Add the triple (through AddBatch
+// when batch is set), or Remove it.
 type refOp struct {
 	t      store.Triple
 	remove bool
+	batch  bool
+}
+
+// TestReasonEmptyAtomsFillLater holds the empty-term skip to the reference
+// where it matters: the RDFS rules over a corpus that starts without
+// subPropertyOf, domain or range triples, so the terms probing those
+// predicates are skipped — and then the predicates fill. A user rule chain
+// derives domain triples two rounds into the fixpoint (rel1 → rel2 →
+// domain), so a skipped atom fills mid-fixpoint; and the schedule asserts
+// the first subPropertyOf, domain and range triples into the materialized
+// store (through AddBatch and Add) and removes them again.
+func TestReasonEmptyAtomsFillLater(t *testing.T) {
+	user, err := ParseRules(`
+?p rel2 ?c :- ?p rel1 ?c
+?p domain ?c :- ?p rel2 ?c
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := func(s, p, o string) store.Triple { return store.Triple{Subject: s, Predicate: p, Object: o} }
+	initial := []store.Triple{
+		tr("a", "owns", "b"),
+		tr("b", "drives", "c"),
+		tr("b", store.TypePredicate, "car"),
+		tr("car", SubClassOfPredicate, "vehicle"),
+		tr("vehicle", SubClassOfPredicate, "thing"),
+		tr("owns", "rel1", "owner"),
+		tr("owner", SubClassOfPredicate, "person"),
+	}
+	ops := []refOp{
+		{t: tr("owns", SubPropertyOfPredicate, "has"), batch: true},
+		{t: tr("has", DomainPredicate, "agent"), batch: true},
+		{t: tr("drives", RangePredicate, "car")},
+		{t: tr("agent", SubClassOfPredicate, "thing"), batch: true},
+		{t: tr("has", DomainPredicate, "agent"), remove: true},
+		{t: tr("drives", RangePredicate, "car"), remove: true},
+		{t: tr("owns", SubPropertyOfPredicate, "has"), remove: true},
+		{t: tr("drives", "rel1", "driver"), batch: true},
+		{t: tr("z", "drives", "w"), batch: true},
+		{t: tr("y", "owns", "x")},
+		{t: tr("owns", "rel1", "owner"), remove: true},
+	}
+	rules := append(RDFSRules(), user...)
+	checkReference(t, "empty atoms", rules, initial, ops, []store.Triple{tr("has", DomainPredicate, "agent")})
+
+	// The skip actually ran: Materialize over the initial corpus skips the
+	// terms probing subPropertyOf and range, which it never uses.
+	base := store.New()
+	if _, err := base.AddBatch(initial); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Materialize(base, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.SkippedTerms == 0 || st.Heads < st.Derived {
+		t.Fatalf("Materialize stats %+v: want skipped terms and at least one head per derived triple", st)
+	}
 }
 
 // TestReasonMatchesReference drives random rule sets, initial stores and

@@ -119,6 +119,14 @@ type EngineStats struct {
 	// Overdeleted and Rederived count delete-and-rederive traffic.
 	Overdeleted int `json:"overdeleted"`
 	Rederived   int `json:"rederived"`
+	// Heads counts rule heads the fixpoint rounds emitted, duplicates of
+	// materialized triples included: Derived over Heads is the share of
+	// the reasoner's attempts that produced something (the same value as
+	// onto_reason_heads_total).
+	Heads int `json:"heads"`
+	// SkippedTerms counts semi-naive terms skipped because another body
+	// atom matched nothing (onto_reason_terms_skipped_total).
+	SkippedTerms int `json:"skipped_terms"`
 	// Generation counts materialization epochs: it advances once per delta
 	// notification (including full rematerializations), so caches and
 	// replicas can detect staleness with one comparison.
@@ -780,11 +788,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Inferred: inferred,
 		Total:    asserted + inferred,
 		Engine: EngineStats{
-			Rounds:      es.Rounds,
-			Derived:     es.Derived,
-			Overdeleted: es.Overdeleted,
-			Rederived:   es.Rederived,
-			Generation:  s.reasoner.Generation(),
+			Rounds:       es.Rounds,
+			Derived:      es.Derived,
+			Overdeleted:  es.Overdeleted,
+			Rederived:    es.Rederived,
+			Heads:        es.Heads,
+			SkippedTerms: es.SkippedTerms,
+			Generation:   s.reasoner.Generation(),
 			// Read through the same accessor the gauge reads.
 			MaterializeSeconds: s.reasoner.MaterializeDuration().Seconds(),
 		},

@@ -273,6 +273,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if st.Engine.Generation < 1 {
 		t.Errorf("/stats engine generation = %d, want >= 1", st.Engine.Generation)
 	}
+	// The waste counters: the body and the scrape read the same counters.
+	if st.Engine.Heads <= 0 || float64(st.Engine.Heads) != m["onto_reason_heads_total"] {
+		t.Errorf("/stats engine heads %d, scrape %g; want equal and > 0", st.Engine.Heads, m["onto_reason_heads_total"])
+	}
+	if float64(st.Engine.SkippedTerms) != m["onto_reason_terms_skipped_total"] {
+		t.Errorf("/stats engine skipped_terms %d, scrape %g; want equal", st.Engine.SkippedTerms, m["onto_reason_terms_skipped_total"])
+	}
 	// The boot-time fixpoint ran once and is never re-run by traffic, so
 	// the body and the scrape must report the identical duration.
 	if st.Engine.MaterializeSeconds <= 0 || st.Engine.MaterializeSeconds != m["onto_reason_materialize_seconds"] {

@@ -101,15 +101,15 @@ func (f *indexFamily) insertGrouped(scratch, ts []IDTriple, rot rotation) {
 	}
 }
 
-// FilterAbsentID compacts ts in place to the triples the store does not
-// hold and returns that prefix, in unspecified order. The batch is
-// partitioned by SPO shard in place (no scratch allocation) and each
-// touched shard is probed under one read lock — instead of one lock round
-// trip per triple, as repeated ContainsID calls would take. The
-// materialization engine runs every chunk of derived heads through it
-// against the asserted base before inserting the survivors into its
-// overlay.
-func (s *Store) FilterAbsentID(ts []IDTriple) []IDTriple {
+// FilterAbsentID compacts ts in place to the triples neither member of the
+// view holds and returns that prefix, in unspecified order. The batch is
+// partitioned by SPO shard once, in place (no scratch allocation), and each
+// shard's part is probed against the base and then the overlay, each under
+// that member shard's read lock alone — instead of one lock round trip per
+// triple, as repeated ContainsID calls would take. The materialization
+// engine filters every chunk of derived heads through it, so heads already
+// in the view never reach the overlay's write-locked insert path.
+func (v *View) FilterAbsentID(ts []IDTriple) []IDTriple {
 	var bounds [numShards + 1]int
 	for _, t := range ts {
 		bounds[shardOf(t.S)+1]++
@@ -132,22 +132,28 @@ func (s *Store) FilterAbsentID(ts []IDTriple) []IDTriple {
 			next[b]++
 		}
 	}
-	// Compact the absent triples to the front; the write position never
-	// passes the read position.
+	// Compact the absent triples to the front; every write position stays
+	// at or before the read position, so the in-place appends never
+	// overwrite an unread triple.
 	out := ts[:0]
-	for i := range s.spo {
-		lo, hi := bounds[i], bounds[i+1]
-		if lo == hi {
-			continue
-		}
-		sh := &s.spo[i]
-		sh.mu.RLock()
-		for _, t := range ts[lo:hi] {
-			if !sh.containsLocked(t.S, t.P, t.O) {
-				out = append(out, t)
+	for i := 0; i < numShards; i++ {
+		part := ts[bounds[i]:bounds[i+1]]
+		for _, m := range [2]*Store{v.base, v.overlay} {
+			if len(part) == 0 {
+				break
 			}
+			sh := &m.spo[i]
+			kept := part[:0]
+			sh.mu.RLock()
+			for _, t := range part {
+				if !sh.containsLocked(t.S, t.P, t.O) {
+					kept = append(kept, t)
+				}
+			}
+			sh.mu.RUnlock()
+			part = kept
 		}
-		sh.mu.RUnlock()
+		out = append(out, part...)
 	}
 	return out
 }

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"testing"
@@ -246,4 +249,46 @@ func BenchmarkScanDrain(b *testing.B) {
 			b.Fatalf("drained %d triples, want %d", got, n)
 		}
 	}
+}
+
+// BenchmarkDecodeSnapshot measures decoding a 1e5-triple snapshot: the
+// store's decoder (canonical lines split in place, names interned) against
+// a reflective encoding/json stream decode of the same bytes.
+func BenchmarkDecodeSnapshot(b *testing.B) {
+	const n = 100_000
+	s := New()
+	if _, err := s.AddBatch(ingestWorkload(n)); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := s.Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.Run("decoder", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeSnapshot(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dec := json.NewDecoder(bytes.NewReader(data))
+			var ts []Triple
+			for {
+				var t Triple
+				if err := dec.Decode(&t); err == io.EOF {
+					break
+				} else if err != nil {
+					b.Fatal(err)
+				}
+				ts = append(ts, t)
+			}
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "triples/s")
+	})
 }

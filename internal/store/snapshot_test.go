@@ -1,12 +1,16 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -196,5 +200,134 @@ func TestSnapshotByteStabilityAtScale(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), third.Bytes()) {
 		t.Fatal("snapshots differ across ingest orders")
+	}
+}
+
+// decodeLinesReference is the decoder's specification: the input split at
+// newlines, blank lines (JSON whitespace only) skipped, and every other line
+// decoded by json.Unmarshal on its own, entries numbered among the non-blank
+// lines. It returns the triples, or the error the decoder must report.
+func decodeLinesReference(data []byte) ([]Triple, error) {
+	var ts []Triple
+	entry := 0
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.Trim(line, " \t\r")) == 0 {
+			continue
+		}
+		entry++
+		var t Triple
+		if err := json.Unmarshal(line, &t); err != nil {
+			return nil, fmt.Errorf("store: decoding snapshot entry %d: %w", entry, err)
+		}
+		if !t.valid() {
+			return nil, fmt.Errorf("store: snapshot entry %d: triple %v has an empty component", entry, t)
+		}
+		ts = append(ts, t)
+	}
+	return ts, nil
+}
+
+// FuzzDecodeSnapshot holds DecodeSnapshot — the in-place split of canonical
+// lines and the encoding/json fallback for every other line — to the
+// per-line encoding/json reference: the same triples, or the same error at
+// the same entry. The seeds cover the lines the split must refuse (escapes,
+// raw U+2028, invalid UTF-8, control bytes, reordered, lower-case or extra
+// keys) and the line framing (blank lines, CRLF, no final newline); a
+// second decode behind a 16-byte read buffer covers lines longer than the
+// buffer.
+func FuzzDecodeSnapshot(f *testing.F) {
+	canon := `{"Subject":"a","Predicate":"p","Object":"o"}`
+	for _, seed := range []string{
+		canon + "\n",
+		canon + "\n" + `{"Subject":"b","Predicate":"p","Object":"o2"}` + "\n",
+		`{"Subject":"a\"b","Predicate":"p\\q","Object":"A\n"}` + "\n",
+		`{"Subject":"a` + "\u2028" + `b","Predicate":"p","Object":"o"}` + "\n",
+		`{"Subject":"a\u2028b","Predicate":"p","Object":"o"}` + "\n",
+		`{"Subject":"a` + "\xff" + `b","Predicate":"p","Object":"o"}` + "\n",
+		`{"Subject":"a` + "\x01" + `b","Predicate":"p","Object":"o"}` + "\n",
+		`{"Subject":"a` + "\x7f" + `b","Predicate":"p","Object":"é"}` + "\n",
+		`{"Object":"o","Subject":"s","Predicate":"p"}` + "\n",
+		`{"subject":"s","predicate":"p","object":"o"}` + "\n",
+		`{"Subject":"s","Predicate":"p","Object":"o","Extra":1}` + "\n",
+		`{"Subject":"s","Subject":"t","Predicate":"p","Object":"o"}` + "\n",
+		`{ "Subject" : "s" , "Predicate" : "p" , "Object" : "o" }` + "\n",
+		`{"Subject":"s","Predicate":"p","Object":1}` + "\n",
+		`{"Subject":"","Predicate":"p","Object":"o"}` + "\n",
+		"null\n",
+		"[]\n" + canon + "\n",
+		canon + canon + "\n",
+		"\n\n  \t\n" + canon + "\n\n" + canon + "\n \n",
+		canon + "\r\n" + canon + "\r\n",
+		canon + "\n\r\n" + canon,
+		canon,
+		"{bad\n" + canon + "\n",
+		canon + "\n{bad",
+		`{"Subject":"` + strings.Repeat("x", 100) + `","Predicate":"p","Object":"o"}` + "\n" + canon + "\n",
+		`{"Subject":"` + strings.Repeat("x", 100) + `\"","Predicate":"p","Object":"o"}`,
+		"\n" + strings.Repeat("x", 100),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, werr := decodeLinesReference(data)
+		got, err := DecodeSnapshot(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("DecodeSnapshot(%q) error %v, reference %v", data, err, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeSnapshot(%q) = %q, reference %q", data, got, want)
+		}
+		// The same decoder behind bufio's smallest buffer, so nearly every
+		// line is longer than the buffer and goes through reassembly.
+		var small []Triple
+		err = decodeSnapshot(bufio.NewReaderSize(bytes.NewReader(data), 16), func(tr Triple) error {
+			small = append(small, tr)
+			return nil
+		})
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("16-byte-buffer decode of %q: error %v, reference %v", data, err, werr)
+		}
+		if werr == nil && !reflect.DeepEqual(small, want) {
+			t.Fatalf("16-byte-buffer decode of %q = %q, reference %q", data, small, want)
+		}
+	})
+}
+
+// TestDecodeSnapshotInternsNames pins the decoder's name table: a name
+// repeated across lines decodes to one string, not one per occurrence —
+// through the in-place split and the encoding/json fallback alike.
+func TestDecodeSnapshotInternsNames(t *testing.T) {
+	in := `{"Subject":"a","Predicate":"p","Object":"o"}
+{"Subject":"b","Predicate":"p","Object":"o"}
+{"Object":"a","Subject":"c","Predicate":"p"}
+`
+	ts, err := DecodeSnapshot(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(x, y string) bool { return unsafe.StringData(x) == unsafe.StringData(y) }
+	if !same(ts[0].Predicate, ts[1].Predicate) || !same(ts[1].Predicate, ts[2].Predicate) {
+		t.Error("the predicate repeated on every line decoded to more than one string")
+	}
+	if !same(ts[0].Object, ts[1].Object) || !same(ts[0].Subject, ts[2].Object) {
+		t.Error("a repeated name decoded to more than one string")
+	}
+}
+
+// TestDecodeSnapshotLongLines decodes lines longer than the decoder's read
+// buffer, canonical and escaped, between ordinary ones.
+func TestDecodeSnapshotLongLines(t *testing.T) {
+	long := strings.Repeat("x", 2*snapshotReadBuffer+3)
+	in := `{"Subject":"a","Predicate":"p","Object":"o"}
+{"Subject":"` + long + `","Predicate":"p","Object":"o"}
+{"Subject":"a","Predicate":"p","Object":"` + long + `\u0041"}
+{"Subject":"b","Predicate":"p","Object":"o"}`
+	ts, err := DecodeSnapshot(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Triple{{"a", "p", "o"}, {long, "p", "o"}, {"a", "p", long + "A"}, {"b", "p", "o"}}
+	if !reflect.DeepEqual(ts, want) {
+		t.Fatalf("DecodeSnapshot decoded %d triples, not the %d long-line ones expected", len(ts), len(want))
 	}
 }

@@ -298,16 +298,5 @@ func (v *View) SnapshotProvenance(w io.Writer) (int, error) {
 // union can be re-read by Restore like any store snapshot. It returns the
 // number of triples written.
 func (v *View) Snapshot(w io.Writer) (int, error) {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	triples := v.Triples()
-	for _, t := range triples {
-		if err := enc.Encode(t); err != nil {
-			return 0, fmt.Errorf("store: encoding view snapshot: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, fmt.Errorf("store: flushing view snapshot: %w", err)
-	}
-	return len(triples), nil
+	return writeSnapshot(w, v.Triples(), "view snapshot")
 }

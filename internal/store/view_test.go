@@ -201,7 +201,7 @@ func TestInternAndIDWrites(t *testing.T) {
 }
 
 // TestBatchedIDWrites covers the materialization engine's head sink:
-// FilterAbsentID drops exactly the triples a store holds, and AddIDBatch
+// View.FilterAbsentID drops exactly the triples either member holds, and AddIDBatch
 // returns exactly the fresh subset (in-batch and stored duplicates
 // excluded), refusing unminted ids all-or-nothing.
 func TestBatchedIDWrites(t *testing.T) {
@@ -224,11 +224,15 @@ func TestBatchedIDWrites(t *testing.T) {
 			want = append(want, tr)
 		}
 	}
-	absent := base.FilterAbsentID(append([]IDTriple(nil), ids...))
+	overlay := base.NewOverlay()
+	view, err := NewView(base, overlay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent := view.FilterAbsentID(append([]IDTriple(nil), ids...))
 	if got := SortIDTriples(append([]IDTriple(nil), absent...)); fmt.Sprint(got) != fmt.Sprint(SortIDTriples(want)) {
 		t.Fatalf("FilterAbsentID kept %v, want exactly the 200 unasserted %v", got, want)
 	}
-	overlay := base.NewOverlay()
 	batch := append(append([]IDTriple(nil), absent[:150]...), absent[:10]...)
 	fresh, err := overlay.AddIDBatch(batch)
 	if err != nil || len(fresh) != 150 || overlay.Len() != 150 {
@@ -242,6 +246,13 @@ func TestBatchedIDWrites(t *testing.T) {
 		if !overlay.ContainsID(tr) {
 			t.Fatalf("fresh triple %v missing from the overlay", tr)
 		}
+	}
+	// The filter drops what either member holds: the overlay now has the
+	// 200 unasserted triples, so of ids plus one never-stored triple only
+	// that one survives.
+	extra := IDTriple{S: ids[1].S, P: ids[2].P, O: ids[0].O}
+	if got := view.FilterAbsentID(append(append([]IDTriple(nil), ids...), extra)); len(got) != 1 || got[0] != extra {
+		t.Fatalf("View.FilterAbsentID kept %v, want only %v", got, extra)
 	}
 	bad := []IDTriple{absent[0], {S: SymbolID(base.DictLen()), P: 0, O: 0}}
 	if fresh, err := overlay.AddIDBatch(bad); err == nil || fresh != nil || overlay.Len() != 200 {
